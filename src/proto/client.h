@@ -65,6 +65,7 @@ class Client : public runtime::Actor {
   Timestamp snapshot() const { return snapshot_; }
   std::size_t cache_size() const { return cache_.size(); }
   NodeId node() const { return self_; }
+  NodeId coordinator() const { return coord_; }
   DcId dc() const { return dc_; }
 
   struct Stats {

@@ -15,9 +15,6 @@
 namespace paris::proto {
 
 namespace {
-/// The executor has no one-shot delayed post; a fire-once schedule entry is
-/// a periodic timer with an absurd period plus an atomic fired flag.
-constexpr std::uint64_t kFireOncePeriodUs = 3'600'000'000ull;  // 1h
 /// How often a joining server polls peer view advertisements (sockets).
 constexpr std::uint64_t kGatePollPeriodUs = 10'000;
 
@@ -327,9 +324,11 @@ void Deployment::arm_membership(Rng& phase_rng) {
     });
   }
 
-  // One fire-once timer per scheduled change, hosted on the first local
+  // One one-shot task per scheduled change, hosted on the first local
   // server's context. Every rank runs the same schedule, so views converge
-  // even without beacons; beacons just tighten the window.
+  // even without beacons; beacons just tighten the window. The tasks capture
+  // `this`: the deployment stops its backend before it is destroyed, and a
+  // task still pending at stop() never runs.
   memb_timer_node_ = kInvalidNode;
   for (auto& sp : servers_)
     if (backend_->local(sp->node())) {
@@ -346,16 +345,12 @@ void Deployment::arm_membership(Rng& phase_rng) {
     if (c.join)
       for (DcId d : c.dcs)
         if (hosts_dc(d)) local_joins.push_back(d);
-    sched_fired_.push_back(std::make_unique<std::atomic<bool>>(false));
-    std::atomic<bool>* fired = sched_fired_.back().get();
-    sched_timers_.push_back(exec().every(
-        memb_timer_node_, kFireOncePeriodUs, std::max<std::uint64_t>(c.at_us, 1),
-        [this, view_id, local_joins, fired] {
-          if (fired->exchange(true, std::memory_order_acq_rel)) return;
-          install_view_local(view_id);
-          if (runtime::SocketBackend* b = socket_backend()) b->advertise_view(view_id);
-          for (DcId d : local_joins) begin_join(d, view_id);
-        }));
+    exec().defer_at(memb_timer_node_, exec().now_us() + std::max<std::uint64_t>(c.at_us, 1),
+                    [this, view_id, local_joins] {
+                      install_view_local(view_id);
+                      if (runtime::SocketBackend* b = socket_backend()) b->advertise_view(view_id);
+                      for (DcId d : local_joins) begin_join(d, view_id);
+                    });
   }
 }
 
@@ -403,7 +398,7 @@ void Deployment::begin_join(DcId dc, std::uint32_t view_id) {
       // timers post-start. It reads peer-view atomics and posts the resume
       // cross-thread, both safe from here.
       const std::uint32_t nprocs = cfg_.socket.resolve_processes(cfg_.topo.num_dcs);
-      sched_timers_.push_back(exec().every(
+      gate_pollers_.push_back(exec().every(
           memb_timer_node_, kGatePollPeriodUs, kGatePollPeriodUs,
           [this, sb, nprocs, view_id, self, gate] {
             for (std::uint32_t r = 0; r < nprocs; ++r)

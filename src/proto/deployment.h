@@ -228,12 +228,11 @@ class Deployment {
   /// Local servers whose recovery is still in flight (sockets epoch > 0
   /// respawn, or an elastic join's state transfer).
   std::atomic<std::uint32_t> recovering_{0};
-  /// Fire-once membership schedule timers + catch-up gate pollers (the
-  /// executor has no one-shot delayed post; each handle guards with a flag).
-  std::vector<runtime::TimerHandle> sched_timers_;
-  std::vector<std::unique_ptr<std::atomic<bool>>> sched_fired_;
-  /// Actor hosting every membership schedule/gate timer: timers may only be
-  /// created pre-start or from this actor's own worker (its callbacks).
+  /// Catch-up gate pollers of in-progress joins (sockets).
+  std::vector<runtime::TimerHandle> gate_pollers_;
+  /// Actor hosting the membership schedule tasks and gate pollers: periodic
+  /// timers may only be created pre-start or from this actor's own worker
+  /// (the schedule tasks that start joins).
   NodeId memb_timer_node_ = kInvalidNode;
 
  public:

@@ -38,6 +38,14 @@ class Executor {
   /// context; a mailbox task for the thread backend.
   virtual void post(NodeId actor, std::function<void()> fn) = 0;
 
+  /// One-shot timed task: runs fn on `actor`'s execution context once
+  /// now_us() >= at_us; a deadline already past runs as soon as the context
+  /// is free. Callable from any thread, before or after the backend started
+  /// (sim: an event at at_us; threads: a timed mailbox task). There is no
+  /// cancel: whatever fn captures must outlive the run (until stop()), and a
+  /// task still pending at stop() never runs.
+  virtual void defer_at(NodeId actor, std::uint64_t at_us, std::function<void()> fn) = 0;
+
   /// Periodic timer on `actor`'s context: first fire at now + phase, then
   /// every period. Prefer every(), which wraps the id in a RAII handle.
   virtual std::uint64_t start_periodic(NodeId actor, std::uint64_t period_us,

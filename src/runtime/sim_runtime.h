@@ -5,6 +5,7 @@
 // directly, so a sim-backed run is byte-identical to the pre-abstraction
 // code (same event order, same RNG draw sequence, same message order).
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -43,6 +44,9 @@ class SimBackend final : public Backend, public Executor, public Transport {
   }
   // The driving thread IS the sim's single execution context: run inline.
   void post(NodeId /*actor*/, std::function<void()> fn) override { fn(); }
+  void defer_at(NodeId /*actor*/, std::uint64_t at_us, std::function<void()> fn) override {
+    sim_.at(std::max(at_us, sim_.now()), std::move(fn));
+  }
   std::uint64_t start_periodic(NodeId /*actor*/, std::uint64_t period_us,
                                std::uint64_t phase_us, std::function<void()> fn) override {
     const std::uint64_t id = next_timer_id_++;

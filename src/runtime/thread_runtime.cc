@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "common/assert.h"
 
 namespace paris::runtime {
@@ -185,13 +189,20 @@ void ThreadBackend::inject_encoded(NodeId from, NodeId to, const std::uint8_t* d
 }
 
 void ThreadBackend::defer(NodeId actor, std::function<void()> fn) {
+  defer_at(actor, /*at_us=*/0, std::move(fn));
+}
+
+void ThreadBackend::defer_at(NodeId actor, std::uint64_t at_us, std::function<void()> fn) {
   PARIS_DCHECK(actor < nodes_.size());
   PARIS_CHECK_MSG(local(actor), "defer/post to a node hosted by another process");
   Worker& w = *workers_[nodes_[actor].worker];
   Envelope env = take_envelope(w);
   env.from = actor;
   env.to = actor;
-  env.deliver_at_us = 0;  // tasks are never timed
+  // 0 (or any deadline already past at the drain) runs with the batch; a
+  // future one parks in the held heap like a timed message. Tasks are not
+  // channel-ordered against messages, so no FIFO clamp applies.
+  env.deliver_at_us = at_us;
   env.task = std::move(fn);
   enqueue(w, std::move(env));
 }
@@ -224,8 +235,9 @@ std::uint64_t ThreadBackend::start_periodic(NodeId actor, std::uint64_t period_u
   }
   // Heap access is single-threaded: before start() only the main thread
   // touches it; afterwards only the owning worker may create timers.
-  PARIS_CHECK_MSG(!started_ || std::this_thread::get_id() == w.thread.get_id(),
-                  "runtime timer creation from a foreign thread");
+  // (t_worker, not w.thread.get_id(): start() assigns w.thread after the
+  // worker is already running, so reading it from the worker would race.)
+  PARIS_CHECK_MSG(!started_ || t_worker == &w, "runtime timer creation from a foreign thread");
   w.timers.push(TimerEntry{now_us() + phase_us, std::move(rec)});
   return id;
 }
@@ -338,6 +350,12 @@ void ThreadBackend::flush_parked(Worker& w) {
 
 void ThreadBackend::worker_main(Worker& w) {
   t_worker = &w;
+#ifdef __linux__
+  // Timed envelopes, timed tasks and timers all wake this thread through
+  // wait_until; the default 50 µs timer slack would let each wake land up to
+  // 50 µs late, which open-loop arrivals would charge to latency.
+  ::prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   while (running_.load(std::memory_order_acquire)) {
     // Drain the mailbox in one batched swap.
     w.batch.clear();

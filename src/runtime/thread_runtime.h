@@ -23,6 +23,12 @@
 //    ones. The sender clamps each channel's deadline to be strictly
 //    increasing (TCP model), so timed delivery can never reorder a channel
 //    no matter what deadlines a decorator asks for.
+//  * One-shot timed tasks (defer_at) ride the same path: a task envelope
+//    with a deliver-at deadline, parked in the receiving worker's held heap
+//    until due. The mailbox is MPSC, so unlike periodic timers they may be
+//    created from any thread at any time.
+//  * Workers run with a 1 µs timer slack (Linux), so deadline wakes land on
+//    time instead of up to the default 50 µs late.
 //
 // Unlike the sim backend, runs are NOT deterministic — correctness is
 // validated by the exactness checker, which is order-independent.
@@ -119,6 +125,7 @@ class ThreadBackend final : public Backend, public Executor, public Transport {
   std::uint64_t now_us() const override;
   void defer(NodeId actor, std::function<void()> fn) override;
   void post(NodeId actor, std::function<void()> fn) override { defer(actor, std::move(fn)); }
+  void defer_at(NodeId actor, std::uint64_t at_us, std::function<void()> fn) override;
   std::uint64_t start_periodic(NodeId actor, std::uint64_t period_us, std::uint64_t phase_us,
                                std::function<void()> fn) override;
   void cancel_periodic(std::uint64_t id) override;

@@ -37,10 +37,12 @@ class LatencyRecorder {
     if (started_us > scheduled_us + kOverdueGraceUs) ++overdue_;
   }
 
-  /// The dispatch pump releases due arrivals every ~200us, so every request
-  /// starts a hair after its scheduled instant. "Overdue" only counts waits
-  /// beyond this grace — i.e. arrivals that actually queued behind a busy
-  /// channel, not pump granularity.
+  /// Each arrival is released by a one-shot task at its scheduled instant,
+  /// but on real threads that task can still start late: the worker may be
+  /// busy with other actors' messages, or the OS may wake it late (tens of
+  /// µs, more on a loaded host). "Overdue" only counts waits beyond this
+  /// grace — i.e. arrivals that actually queued behind a busy channel or a
+  /// stalled worker, not wake-up jitter.
   static constexpr std::uint64_t kOverdueGraceUs = 1000;
 
   /// A request whose scheduled arrival fell inside the window (counted at

@@ -234,26 +234,17 @@ ExperimentResult run_local_experiment(const ExperimentConfig& cfg,
   // Kick each closed loop on its client's execution context: inline for the
   // sim backend (the historical behavior), a mailbox task for threads. A
   // leaving DC's sessions drain at the leave time; a joining DC's sessions
-  // are kicked by a fire-once timer at the join time instead of now (the
-  // executor has no one-shot delayed post: huge period + a fired flag).
-  constexpr std::uint64_t kFireOncePeriodUs = 3'600'000'000ull;
-  std::vector<runtime::TimerHandle> session_gates;
-  std::vector<std::unique_ptr<std::atomic<bool>>> gate_fired;
+  // are kicked by a one-shot task at the join time instead of now. Sessions
+  // outlive dep.stop(), after which a still-pending kick never runs.
   for (std::size_t i = 0; i < sessions.size(); ++i) {
     Session* s = sessions[i].get();
     const DcId d = session_dcs[i];
     if (leave_at_us[d] != ~0ull) s->set_deadline(t0 + leave_at_us[d]);
     if (join_at_us[d] == 0) {
       dep.exec().post(session_nodes[i], [s] { s->run(); });
-      continue;
+    } else {
+      dep.exec().defer_at(session_nodes[i], t0 + join_at_us[d], [s] { s->run(); });
     }
-    gate_fired.push_back(std::make_unique<std::atomic<bool>>(false));
-    std::atomic<bool>* fired = gate_fired.back().get();
-    session_gates.push_back(dep.exec().every(
-        session_nodes[i], kFireOncePeriodUs, join_at_us[d], [s, fired] {
-          if (fired->exchange(true, std::memory_order_acq_rel)) return;
-          s->run();
-        }));
   }
 
   // Scheduled stall (CO regression tests): a helper thread flips the socket

@@ -10,10 +10,6 @@ namespace paris::workload {
 
 namespace {
 
-/// Pump cadence: how often released-but-queued arrivals are checked against
-/// the clock. 200us keeps release jitter well under the latencies measured.
-constexpr std::uint64_t kPumpPeriodUs = 200;
-
 /// Schedule memory guard: ~100 bytes/arrival means 4M arrivals is ~400MB
 /// worst case per engine — far above any configuration the tests or benches
 /// use, but a runaway rate*horizon product fails loudly instead of OOMing.
@@ -178,28 +174,26 @@ OpenLoopEngine::OpenLoopEngine(const cluster::Topology& topo, const WorkloadSpec
   digest_ = h;
 }
 
-void OpenLoopEngine::add_client(proto::Client* c) { clients_.push_back(c); }
+void OpenLoopEngine::add_client(proto::Client* c) {
+  PARIS_CHECK_MSG(clients_.empty() || c->coordinator() == clients_[0]->coordinator(),
+                  "open-loop engine clients must share one coordinator (one context)");
+  clients_.push_back(c);
+}
 
 void OpenLoopEngine::start(runtime::Executor& exec, std::uint64_t t0) {
   PARIS_CHECK_MSG(!clients_.empty(), "open-loop engine started without clients");
   exec_ = &exec;
   t0_ = t0;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    idle_.clear();
-    for (std::size_t i = 0; i < clients_.size(); ++i) idle_.push_back(i);
-  }
-  pump_timer_ =
-      exec.every(clients_[0]->node(), kPumpPeriodUs, kPumpPeriodUs, [this] { pump(); });
+  idle_.clear();
+  for (std::size_t i = 0; i < clients_.size(); ++i) idle_.push_back(i);
+  arm();
 }
 
 void OpenLoopEngine::finalize() {
-  pump_timer_.cancel();
-  std::lock_guard<std::mutex> lk(mu_);
   // Everything the schedule intended to send counts as scheduled — whether
-  // or not the pump got to it before the run ended. This is what keeps the
-  // intended rate honest when the system (or the pump behind a stalled
-  // worker) falls behind.
+  // or not it was released before the run ended. This is what keeps the
+  // intended rate honest when the system (or a release stuck behind a
+  // stalled worker) falls behind.
   while (next_ < schedule_.size() && schedule_[next_].at_us <= horizon_us_) {
     const std::uint64_t at = schedule_[next_].at_us;
     if (at >= active_from_us_ && at < active_until_us_) rec_.note_scheduled(t0_ + at);
@@ -207,18 +201,22 @@ void OpenLoopEngine::finalize() {
   }
 }
 
-void OpenLoopEngine::pump() {
+void OpenLoopEngine::arm() {
+  // Arrivals before this DC's membership window are intentionally unsent;
+  // the schedule is time-sorted, so once one falls past the window's end
+  // every later one does too.
+  while (next_ < schedule_.size() && schedule_[next_].at_us < active_from_us_) ++next_;
+  if (next_ == schedule_.size() || schedule_[next_].at_us >= active_until_us_) return;
+  exec_->defer_at(clients_[0]->node(), t0_ + schedule_[next_].at_us, [this] { release(); });
+}
+
+void OpenLoopEngine::release() {
   const std::uint64_t now = exec_->now_us();
-  std::lock_guard<std::mutex> lk(mu_);
-  while (next_ < schedule_.size() && t0_ + schedule_[next_].at_us <= now) {
-    const std::uint64_t at = schedule_[next_].at_us;
-    if (at < active_from_us_ || at >= active_until_us_) {
-      ++next_;  // outside this DC's membership window: intentionally unsent
-      continue;
-    }
-    rec_.note_scheduled(t0_ + at);
-    backlog_.push_back(next_);
-    ++next_;
+  // arm() left next_ in the window; every due arrival up to its end queues.
+  while (next_ < schedule_.size() && schedule_[next_].at_us < active_until_us_ &&
+         t0_ + schedule_[next_].at_us <= now) {
+    rec_.note_scheduled(t0_ + schedule_[next_].at_us);
+    backlog_.push_back(next_++);
   }
   rec_.note_backlog(backlog_.size());
   while (!backlog_.empty() && !idle_.empty()) {
@@ -226,11 +224,9 @@ void OpenLoopEngine::pump() {
     idle_.pop_back();
     const std::size_t ai = backlog_.front();
     backlog_.pop_front();
-    // Hop to the client's own execution context (inline on the sim backend,
-    // a mailbox task on threads). run_tx touches no engine state that needs
-    // mu_, so the inline case cannot deadlock.
-    exec_->post(clients_[ci]->node(), [this, ci, ai] { run_tx(ci, ai); });
+    run_tx(ci, ai);  // already on the clients' context: no hop
   }
+  arm();
 }
 
 void OpenLoopEngine::run_tx(std::size_t ci, std::size_t ai) {
@@ -251,21 +247,16 @@ void OpenLoopEngine::run_tx(std::size_t ci, std::size_t ai) {
 }
 
 void OpenLoopEngine::on_done(std::size_t ci, std::size_t ai, std::uint64_t started) {
-  const std::uint64_t finished = exec_->now_us();
-  std::size_t next_ai = static_cast<std::size_t>(-1);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    rec_.record(t0_ + schedule_[ai].at_us, started, finished);
-    if (!backlog_.empty()) {
-      next_ai = backlog_.front();
-      backlog_.pop_front();
-    } else {
-      idle_.push_back(ci);
-    }
+  rec_.record(t0_ + schedule_[ai].at_us, started, exec_->now_us());
+  if (backlog_.empty()) {
+    idle_.push_back(ci);
+    return;
   }
-  // Already on this client's context: chain the next queued arrival
-  // directly, keeping the channel saturated while a backlog exists.
-  if (next_ai != static_cast<std::size_t>(-1)) run_tx(ci, next_ai);
+  // Chain the next queued arrival directly, keeping the channel saturated
+  // while a backlog exists.
+  const std::size_t next_ai = backlog_.front();
+  backlog_.pop_front();
+  run_tx(ci, next_ai);
 }
 
 }  // namespace paris::workload

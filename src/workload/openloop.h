@@ -4,7 +4,9 @@
 // the open-loop engine PRE-DRAWS a deterministic arrival schedule — a
 // Poisson process at a target rate (optionally shaped by a diurnal or
 // flash-crowd profile) or a replayed trace — and releases arrivals at their
-// scheduled times regardless of how the system is keeping up. Arrivals that
+// scheduled times regardless of how the system is keeping up: one one-shot
+// executor task (Executor::defer_at) per release, each arming the next at
+// the following arrival's instant, with no polling between. Arrivals that
 // find every client busy are never dropped: they queue in a FIFO backlog and
 // their wait is charged to intended latency (stats/latency_recorder.h), the
 // coordinated-omission-safe convention.
@@ -18,7 +20,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -89,7 +90,9 @@ class OpenLoopEngine {
                  std::uint64_t horizon_us, std::uint64_t seed,
                  const std::vector<TraceEntry>* trace);
 
-  /// Pool registration (all clients must share one execution locality).
+  /// Pool registration. All clients must share one coordinator (and thus,
+  /// colocated with it, one execution context): the engine releases and
+  /// completes transactions on that context without locking. Checked.
   void add_client(proto::Client* c);
 
   /// Restricts releases to arrivals with at_us in [from_us, until_us)
@@ -103,12 +106,14 @@ class OpenLoopEngine {
     active_until_us_ = until_us;
   }
 
-  /// Arms the release pump. t0 anchors schedule offsets to runtime time.
+  /// Arms the first release at its scheduled instant; t0 anchors schedule
+  /// offsets to runtime time. Each release re-arms for the next arrival.
   void start(runtime::Executor& exec, std::uint64_t t0);
 
-  /// After the run: counts every never-released arrival as scheduled, so the
-  /// intended rate reflects the configured arrival process, not how far the
-  /// pump got (coordinated omission applies to bookkeeping too).
+  /// After the run (backend stopped): counts every never-released arrival as
+  /// scheduled, so the intended rate reflects the configured arrival
+  /// process, not how far releases got (coordinated omission applies to
+  /// bookkeeping too).
   void finalize();
 
   stats::LatencyRecorder& recorder() { return rec_; }
@@ -118,7 +123,12 @@ class OpenLoopEngine {
   const std::vector<Arrival>& schedule() const { return schedule_; }
 
  private:
-  void pump();
+  /// Skips out-of-window arrivals and schedules release() at the next
+  /// in-window arrival's instant; does nothing once none is left.
+  void arm();
+  /// Queues every arrival now due, hands queued ones to idle clients, and
+  /// re-arms for the next arrival.
+  void release();
   void run_tx(std::size_t ci, std::size_t ai);
   void on_done(std::size_t ci, std::size_t ai, std::uint64_t started);
 
@@ -131,12 +141,10 @@ class OpenLoopEngine {
 
   std::vector<proto::Client*> clients_;
   runtime::Executor* exec_ = nullptr;
-  runtime::TimerHandle pump_timer_;
   std::uint64_t t0_ = 0;
 
-  // Release/dispatch state. Clients of one engine share a process but may
-  // live on different worker threads; completions race with the pump.
-  std::mutex mu_;
+  // Release/dispatch state. Releases and completions all run on the
+  // clients' shared execution context (add_client), so nothing is locked.
   std::size_t next_ = 0;              ///< next schedule index to release
   std::deque<std::size_t> backlog_;   ///< released, waiting for a client
   std::vector<std::size_t> idle_;     ///< idle client pool indices

@@ -54,10 +54,10 @@ TEST(Recorder, WindowsByFinishTimeAndCountsScheduledAtScheduleTime) {
   EXPECT_NEAR(static_cast<double>(r.service().percentile(0.5)), 195.0, 7.0);   // 1100 - 905
 }
 
-TEST(Recorder, OverdueRequiresWaitBeyondPumpGrace) {
+TEST(Recorder, OverdueRequiresWaitBeyondReleaseGrace) {
   LatencyRecorder r;
   r.set_window(0, 1'000'000);
-  // Started a hair late (pump granularity): NOT overdue.
+  // Started a hair late (wake-up jitter): NOT overdue.
   r.record(1000, 1000 + LatencyRecorder::kOverdueGraceUs, 5000);
   EXPECT_EQ(r.overdue(), 0u);
   // Queued behind a busy channel for 2ms: overdue.

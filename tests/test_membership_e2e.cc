@@ -161,7 +161,7 @@ TEST(MembershipE2E, HostListSpansTwoLoopbackIPs) {
 // ---------------------------------------------------------------------------
 
 TEST(ConfigCodec, RoundtripsHostsAndMembershipSchedule) {
-  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kSockets, 7421, 42);
+  auto cfg = memb_config(proto::System::kBpr, runtime::Kind::kSockets, 0, 42);
   schedule_join(cfg, 2, 500);
   schedule_leave(cfg, 1, 900);
   std::string err;
@@ -188,7 +188,7 @@ TEST(ConfigCodec, RoundtripsHostsAndMembershipSchedule) {
 }
 
 TEST(ConfigCodec, MissingHeaderFailsWithClearMessage) {
-  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7421, 1);
+  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 0, 1);
   std::string text = detail::encode_experiment_config(cfg);
   text = text.substr(text.find('\n') + 1);  // strip the cfgver line
 
@@ -200,7 +200,7 @@ TEST(ConfigCodec, MissingHeaderFailsWithClearMessage) {
 }
 
 TEST(ConfigCodec, VersionSkewNamesBothVersions) {
-  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7421, 1);
+  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 0, 1);
   std::string text = detail::encode_experiment_config(cfg);
   const std::size_t eol = text.find('\n');
   text = "cfgver 999\n" + text.substr(eol + 1);
@@ -213,7 +213,7 @@ TEST(ConfigCodec, VersionSkewNamesBothVersions) {
 }
 
 TEST(ConfigCodec, UnknownKeyWithinMatchingVersionStillFails) {
-  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 7421, 1);
+  const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 0, 1);
   const std::string text =
       detail::encode_experiment_config(cfg) + "some_future_knob 7\n";
 

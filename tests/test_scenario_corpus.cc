@@ -6,8 +6,11 @@
 //
 // Socket scenarios re-exec this binary as children, so it defines its own
 // main() with the maybe_run_socket_child() hook (same pattern as
-// test_recovery.cc). Port registry: this suite owns 7860+ (10 per socket
-// scenario), disjoint from every other suite so `ctest -j` never collides.
+// test_recovery.cc). Port registry: this suite owns the block
+// [kCorpusBasePort, kCorpusBasePort + kCorpusPortBlock), disjoint from every
+// other suite so `ctest -j` never collides; socket scenarios take
+// consecutive sub-ranges of it, and the suite fails if the corpus outgrows
+// the block rather than spilling into a neighbour's ports.
 
 #include <gtest/gtest.h>
 
@@ -41,7 +44,8 @@ constexpr std::uint64_t kTimeScale = 1;
 constexpr std::uint64_t kTimeScale = 1;
 #endif
 
-constexpr std::uint16_t kCorpusBasePort = 7860;
+constexpr std::uint16_t kCorpusBasePort = 7740;
+constexpr std::uint16_t kCorpusPortBlock = 60;
 
 std::vector<fs::path> corpus_files() {
   std::vector<fs::path> files;
@@ -58,7 +62,7 @@ TEST(ScenarioCorpus, EveryPinnedScheduleReplaysClean) {
   // regression coverage, so the suite fails rather than passing vacuously.
   ASSERT_GE(files.size(), 5u) << "corpus at " << PARIS_CORPUS_DIR << " lost files";
 
-  int socket_idx = 0;
+  std::uint32_t next_port = kCorpusBasePort;
   for (const fs::path& path : files) {
     SCOPED_TRACE(path.filename().string());
     std::ifstream in(path);
@@ -75,8 +79,11 @@ TEST(ScenarioCorpus, EveryPinnedScheduleReplaysClean) {
     workload::ExperimentConfig cfg;
     scenario::apply_scenario(s, cfg);
     if (s.runtime == runtime::Kind::kSockets) {
-      cfg.socket.base_port =
-          static_cast<std::uint16_t>(kCorpusBasePort + 10 * socket_idx++);
+      ASSERT_LE(next_port + s.socket_processes, kCorpusBasePort + kCorpusPortBlock)
+          << "the corpus outgrew its port block; widen kCorpusPortBlock into free "
+             "ports (tools/check_docs.py lists the registry)";
+      cfg.socket.base_port = static_cast<std::uint16_t>(next_port);
+      next_port += s.socket_processes;
     }
     const workload::ExperimentResult res = workload::run_experiment(cfg);
 

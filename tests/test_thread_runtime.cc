@@ -1,5 +1,6 @@
 // ThreadBackend unit tests (mailbox delivery, per-channel FIFO, deferred
-// tasks, periodic timers + cancellation) and the cross-runtime smoke test:
+// and one-shot timed tasks, periodic timers + cancellation), the sim
+// backend's one-shot timed task, and the cross-runtime smoke test:
 // the same small cluster and workload run on both the SimRuntime and the
 // ThreadRuntime and both pass the exactness checker.
 
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <vector>
 
+#include "runtime/sim_runtime.h"
 #include "runtime/thread_runtime.h"
 #include "workload/experiment.h"
 
@@ -106,6 +108,80 @@ TEST(ThreadRuntime, PeriodicTimerFiresAndCancelStops) {
   EXPECT_LE(fires.load(), 40);
   EXPECT_EQ(cancelled_fires.load(), 0);
   keep.cancel();  // cancel after stop must be safe
+}
+
+TEST(ThreadRuntime, DeferAtNeverRunsEarlyAndRunsOnTheActorsWorker) {
+  ThreadBackend be(ThreadBackend::Options{2, 1});
+  RecordingActor a, b;
+  be.add_node(&a, 0, nullptr);
+  const NodeId nb = be.add_node(&b, 1, nullptr);
+  ASSERT_EQ(be.worker_of(nb), 1u);
+
+  // Armed before start(): the deadlines are absolute executor times.
+  constexpr int kTasks = 8;
+  std::atomic<int> ran{0};
+  std::vector<std::uint64_t> due(kTasks), fired_at(kTasks);
+  std::vector<std::thread::id> ran_on(kTasks);
+  std::thread::id owner;
+  be.exec().defer(nb, [&] { owner = std::this_thread::get_id(); });
+  const std::uint64_t base = be.exec().now_us();
+  for (int i = 0; i < kTasks; ++i) {
+    // Out of order on purpose: the held heap, not arrival order, decides.
+    due[i] = base + 5'000 + static_cast<std::uint64_t>((i * 7) % kTasks) * 2'000;
+    be.exec().defer_at(nb, due[i], [&, i] {
+      fired_at[i] = be.exec().now_us();
+      ran_on[i] = std::this_thread::get_id();
+      ran.fetch_add(1);
+    });
+  }
+  be.run_for(60'000);
+  be.stop();
+
+  ASSERT_EQ(ran.load(), kTasks);
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_GE(fired_at[i], due[i]) << "task " << i << " ran before its deadline";
+    EXPECT_EQ(ran_on[i], owner) << "task " << i << " ran off the actor's worker";
+  }
+}
+
+TEST(ThreadRuntime, DeferAtPastDeadlineRunsPromptlyFromAForeignThread) {
+  ThreadBackend be(ThreadBackend::Options{1, 1});
+  RecordingActor a;
+  const NodeId na = be.add_node(&a, 0, nullptr);
+  be.start();
+
+  // After start(), from a thread that is neither a worker nor the one that
+  // started the backend: the MPSC mailbox carries the task.
+  std::atomic<std::uint64_t> lag_us{~0ull};
+  std::thread foreign([&] {
+    const std::uint64_t armed = be.exec().now_us();
+    be.exec().defer_at(na, armed > 1'000 ? armed - 1'000 : 0, [&, armed] {
+      lag_us.store(be.exec().now_us() - armed);
+    });
+  });
+  foreign.join();
+  be.run_for(50'000);
+  be.stop();
+
+  ASSERT_NE(lag_us.load(), ~0ull) << "past-deadline task never ran";
+  // A past deadline means "now": no timer wait, just the mailbox hop. The
+  // bound is loose for loaded CI hosts; the point is it is not deferred.
+  EXPECT_LT(lag_us.load(), 20'000u);
+}
+
+TEST(SimRuntime, DeferAtFiresAtExactlyItsDeadline) {
+  runtime::SimBackend be(1, sim::LatencyModel::uniform(1, 1000, 100));
+  RecordingActor a;
+  const NodeId na = be.add_node(&a, 0, nullptr);
+  std::vector<std::uint64_t> fired;
+  be.exec().defer_at(na, 1'234, [&] { fired.push_back(be.exec().now_us()); });
+  be.exec().defer_at(na, 777, [&] {
+    fired.push_back(be.exec().now_us());
+    // A deadline already past from inside the loop runs at the current time.
+    be.exec().defer_at(na, 5, [&] { fired.push_back(be.exec().now_us()); });
+  });
+  be.run_for(10'000);
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{777, 777, 1'234}));
 }
 
 TEST(ThreadRuntime, NowAdvancesMonotonically) {

@@ -260,6 +260,32 @@ TEST(OpenLoopDigest, IdenticalAcrossSimThreadsAndSocketProcesses) {
   EXPECT_NE(run_experiment(reseeded).workload_digest, sim.workload_digest);
 }
 
+// ---------------------------------------------------------------------------
+// Release precision: each arrival is released by a one-shot task at its
+// scheduled instant, so on the simulator an arrival that finds an idle
+// client starts at exactly its scheduled time and intended == service.
+// ---------------------------------------------------------------------------
+
+TEST(OpenLoopRelease, SimArrivalsWithIdleClientsStartAtTheirScheduledInstant) {
+  ExperimentConfig cfg = digest_config(runtime::Kind::kSim, 0);
+  // A pool far wider than the concurrency the rate needs: no arrival ever
+  // waits for a client.
+  cfg.threads_per_process = 8;
+  cfg.openloop.arrival_rate = 600;
+  const auto res = run_experiment(cfg);
+  ASSERT_GT(res.committed, 100u);
+  EXPECT_EQ(res.overdue, 0u);
+
+  // started >= scheduled for every sample, so intended >= service per
+  // sample; equal sums (the exact sum-over-count means) therefore mean every
+  // single sample has intended == service.
+  ASSERT_EQ(res.intended_hist.count(), res.service_hist.count());
+  EXPECT_EQ(res.intended_hist.mean(), res.service_hist.mean())
+      << "some arrival started after its scheduled instant";
+  EXPECT_EQ(res.intended_hist.min(), res.service_hist.min());
+  EXPECT_EQ(res.intended_hist.max(), res.service_hist.max());
+}
+
 }  // namespace
 }  // namespace paris::workload
 

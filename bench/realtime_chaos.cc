@@ -15,7 +15,7 @@
 //    serving non-blocking reads from the stalled-but-stable snapshot and
 //    local commits continue, while BPR's fresh-snapshot reads block on the
 //    frozen version vector — the paper's availability trade-off, now
-//    visible as a goodput gap during the outage. Update visibility p99
+//    visible as a goodput gap through the outage. Update visibility p99
 //    stretches to roughly the blackout length for both (nothing can be
 //    installed across a dead link).
 //

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "runtime/endpoint.h"
 #include "workload/socket_runner.h"
 
 using namespace paris;
@@ -45,7 +46,7 @@ ExperimentConfig recovery_config(bool kill) {
   cfg.system = System::kParis;
   cfg.runtime = runtime::Kind::kSockets;
   cfg.socket.processes = 3;
-  cfg.socket.base_port = kill ? 7471 : 7461;
+  cfg.socket.hosts = runtime::loopback_host_list(3, kill ? 7471 : 7461);
   cfg.socket.supervise = true;
   cfg.socket.max_respawns = 2;
   cfg.num_dcs = 3;

@@ -5,24 +5,18 @@
 // Rows (all PaRiS, 3 DCs, 6 partitions, R=2, reliable transport on
 // everywhere so framing/ack overhead is part of every row):
 //
-//  * threads_reliable   — goodput ceiling with zero process boundaries.
-//  * sockets_reliable   — identical cluster, one process per DC; the delta
-//                         is the serialize + TCP + poll-pump cost of
-//                         crossing real process boundaries.
+//  * threads_reliable   — the cluster in one address space (no process
+//                         boundary).
+//  * sockets_reliable   — identical cluster, one process per DC over the
+//                         poll pump; the delta is what crossing real process
+//                         boundaries changes (on 4 cores the sockets row is
+//                         the faster one).
 //  * sockets_sack_loss  — 3% uniform drop of EVERY message class, under the
 //                         jittered 40 ms WAN model (deep windows: an RTT of
 //                         replication traffic is in flight per channel, so
 //                         retransmission POLICY matters), with SACK on:
 //                         receivers advertise buffered [lo,hi] ranges and
 //                         senders retransmit only the gaps.
-//  * sockets_unbatched  — sockets_reliable with batching OFF (one frame per
-//                         write syscall, 4KB reads): the pre-§12 syscall
-//                         pattern, kept as the A/B control for the batched
-//                         pump. syscalls_per_frame is the separating metric.
-//  * sockets_uring      — sockets_reliable on the io_uring pump, emitted
-//                         only when the kernel has io_uring (the JSON row is
-//                         marked optional; the guard skips it with a notice
-//                         when absent).
 //  * sockets_gbn_loss   — the same loss with SACK off (go-back-N over the
 //                         in-flight burst): the retransmission waste the
 //                         60s-blackout bench measured, isolated. On bare
@@ -48,7 +42,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "runtime/socket_runtime.h"
+#include "runtime/endpoint.h"
 #include "workload/socket_runner.h"
 
 using namespace paris;
@@ -62,7 +56,7 @@ ExperimentConfig socket_config(bool sockets) {
   cfg.runtime = sockets ? runtime::Kind::kSockets : runtime::Kind::kThreads;
   cfg.worker_threads = sockets ? 2 : 6;  // 3 children x 2 = the threads run's 6
   cfg.socket.processes = 3;
-  cfg.socket.base_port = 7451;
+  cfg.socket.hosts = runtime::loopback_host_list(3, 7451);
   cfg.num_dcs = 3;
   cfg.num_partitions = 6;
   cfg.replication = 2;
@@ -84,7 +78,6 @@ struct Row {
   std::string name;
   ExperimentResult result;
   double retx_per_drop = 0;
-  bool optional = false;  ///< row may be absent on other machines (io_uring)
 };
 
 Row run_row(std::string name, const ExperimentConfig& cfg) {
@@ -126,20 +119,6 @@ int main(int argc, char** argv) {
   {
     auto cfg = socket_config(/*sockets=*/true);
     rows.push_back(run_row("sockets_reliable", cfg));
-  }
-  {
-    auto cfg = socket_config(/*sockets=*/true);
-    cfg.socket.batch_io = false;
-    rows.push_back(run_row("sockets_unbatched", cfg));
-  }
-  if (runtime::SocketBackend::probe_io_uring()) {
-    auto cfg = socket_config(/*sockets=*/true);
-    cfg.socket.pump = runtime::SocketPump::kUring;
-    rows.push_back(run_row("sockets_uring", cfg));
-    rows.back().optional = true;
-  } else {
-    std::printf("%-20s (skipped: io_uring unavailable on this kernel)\n",
-                "sockets_uring");
   }
   for (const bool sack : {true, false}) {
     auto cfg = socket_config(/*sockets=*/true);
@@ -187,7 +166,7 @@ int main(int argc, char** argv) {
         "\"dropped\": %llu, \"retransmits_per_drop\": %.3f, \"sack_skips\": %llu, "
         "\"socket_frames_out\": %llu, \"syscalls_per_frame\": %.3f, "
         "\"bytes_per_syscall\": %.1f, \"flushes\": %llu, "
-        "\"backpressure_stalls\": %llu%s}%s\n",
+        "\"backpressure_stalls\": %llu}%s\n",
         r.name.c_str(), loop_mode(socket_config(/*sockets=*/true)),
         r.result.throughput_tx_s, r.result.latency_us.p50 / 1000.0,
         static_cast<unsigned long long>(r.result.committed),
@@ -199,7 +178,6 @@ int main(int argc, char** argv) {
         r.result.socket.syscalls_per_frame(), r.result.socket.bytes_per_syscall(),
         static_cast<unsigned long long>(r.result.socket.flushes),
         static_cast<unsigned long long>(r.result.socket.backpressure_stalls),
-        r.optional ? ", \"optional\": true" : "",
         i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

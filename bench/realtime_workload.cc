@@ -32,6 +32,7 @@
 
 #include "bench_common.h"
 #include "placement/placement.h"
+#include "runtime/endpoint.h"
 #include "workload/socket_runner.h"
 
 using namespace paris;
@@ -51,7 +52,7 @@ ExperimentConfig openloop_config(runtime::Kind kind) {
   cfg.threads_per_process = 4;
   if (kind == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = kBasePort;
+    cfg.socket.hosts = runtime::loopback_host_list(3, kBasePort);
   }
   cfg.workload.key_dist = workload::KeyDistKind::kZipfRejection;
   cfg.workload.zipf_theta = 0.99;

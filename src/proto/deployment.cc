@@ -28,16 +28,6 @@ struct JoinGate {
   std::function<void()> resume;
 };
 
-/// The socket host list every layer derives endpoints from: the configured
-/// --hosts list verbatim, or the back-compat loopback expansion of the
-/// deprecated base-port scheme (the ONLY sanctioned port-arithmetic site).
-std::vector<runtime::Endpoint> resolve_hosts(const DeploymentConfig& cfg) {
-  const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.topo.num_dcs);
-  return cfg.socket.hosts.empty()
-             ? runtime::loopback_host_list(nprocs, cfg.socket.base_port)
-             : cfg.socket.hosts;
-}
-
 std::unique_ptr<cluster::Membership> build_membership(const DeploymentConfig& cfg,
                                                       const cluster::Topology& topo) {
   if (!cfg.membership.enabled()) return nullptr;
@@ -46,7 +36,7 @@ std::unique_ptr<cluster::Membership> build_membership(const DeploymentConfig& cf
       sockets ? cfg.socket.resolve_processes(cfg.topo.num_dcs) : 0;
   std::vector<cluster::Member> members;
   if (sockets) {
-    const auto hosts = resolve_hosts(cfg);
+    const auto& hosts = cfg.socket.hosts;
     for (std::uint32_t r = 0; r < hosts.size(); ++r)
       members.push_back({r, hosts[r], static_cast<std::uint32_t>(cfg.socket.epoch)});
   }
@@ -100,14 +90,12 @@ std::unique_ptr<runtime::Backend> build_backend(const DeploymentConfig& cfg,
     runtime::SocketBackend::Options opt;
     opt.rank = static_cast<std::uint32_t>(cfg.socket.rank);
     opt.nprocs = cfg.socket.resolve_processes(cfg.topo.num_dcs);
-    opt.hosts = resolve_hosts(cfg);
+    opt.hosts = cfg.socket.hosts;
     opt.seed = cfg.seed;
     opt.connect_timeout_ms = cfg.socket.connect_timeout_ms;
     opt.mesh_token = cfg.socket.mesh_token;
     opt.epoch = cfg.socket.epoch;
-    opt.pump = cfg.socket.pump;
     opt.outbound_budget = cfg.socket.outbound_budget;
-    opt.batch_io = cfg.socket.batch_io;
     if (cfg.worker_threads != 0) {
       opt.workers = cfg.worker_threads;
     } else {

@@ -631,7 +631,7 @@ Timestamp ServerBase::min_vv_installed() const {
   // its first heartbeat. Used only by serving-side sanity checks: the join
   // HLC floor guarantees every post-join version exceeds any pre-join stable
   // snapshot, so a snapshot above this relaxed minimum can still be served
-  // exactly during the freeze window.
+  // exactly inside the freeze window.
   const auto& reps = rt_.topo.replicas(partition_);
   Timestamp m = kTsMax;
   for (ReplicaIdx i = 0; i < vv_.size(); ++i) {

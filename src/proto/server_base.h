@@ -78,7 +78,7 @@ class ServerBase : public runtime::Actor {
     // --- crash recovery (DESIGN §11) ---
     std::uint64_t snapshots_served = 0;     ///< donor-side snapshot streams
     std::uint64_t catchups_served = 0;      ///< anti-entropy deltas answered
-    std::uint64_t recovery_buffered = 0;    ///< messages held during recovery
+    std::uint64_t recovery_buffered = 0;    ///< messages held while recovering
     std::uint64_t orphan_commits = 0;       ///< Commit2pc with no prepared entry
     std::uint64_t orphan_prepare_resps = 0; ///< PrepareResp for unknown/settled tx
     std::uint64_t prepared_fenced = 0;      ///< prepared entries fenced (dead coordinator)
@@ -116,7 +116,7 @@ class ServerBase : public runtime::Actor {
 
   /// Elastic join, phase 0 (DESIGN §11): a server of a DC scheduled to join
   /// later parks from deployment start — every protocol message is buffered
-  /// exactly as during recovery, so when the join view installs and
+  /// exactly as in recovery, so when the join view installs and
   /// start_recovery() runs, nothing that arrived early (a replicate batch
   /// from an eager peer, a routed read) is lost or applied out of order.
   /// start_recovery() reuses the parked state in place.

@@ -108,11 +108,11 @@ std::string format_host_list(const std::vector<Endpoint>& hosts) {
   return out;
 }
 
-std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t base_port) {
+std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t first_port) {
   std::vector<Endpoint> hosts;
   hosts.reserve(nprocs);
   for (std::uint32_t r = 0; r < nprocs; ++r)
-    hosts.push_back(Endpoint{"127.0.0.1", static_cast<std::uint16_t>(base_port + r)});
+    hosts.push_back(Endpoint{"127.0.0.1", static_cast<std::uint16_t>(first_port + r)});
   return hosts;
 }
 

@@ -1,10 +1,9 @@
 #pragma once
 // Cross-host addressing for the socket runtime (DESIGN §10). An Endpoint is
 // where one rank of the process mesh listens; a host list names every rank's
-// endpoint, replacing the historical loopback `base_port + rank` arithmetic
-// so the same binary deploys across machines. loopback_host_list() is the
-// ONLY place that arithmetic is still allowed — it expands the deprecated
-// --listen-base-port convenience into an explicit loopback host list.
+// endpoint, so the same binary deploys across machines. loopback_host_list()
+// is the ONLY place a port is derived from a rank — the launcher uses it for
+// its default list, tests and benches for their own port blocks.
 
 #include <netinet/in.h>
 
@@ -43,9 +42,12 @@ bool validate_host_list(const std::vector<Endpoint>& hosts, std::uint32_t nprocs
 /// "h1:p1,h2:p2,..." — the inverse of parse_host_list.
 std::string format_host_list(const std::vector<Endpoint>& hosts);
 
-/// Back-compat expansion of --listen-base-port: rank r listens on
-/// 127.0.0.1:(base_port + r). The only sanctioned base_port + rank site.
-std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t base_port);
+/// First port of the launcher's default host list, used when no explicit
+/// list is given: rank r listens on 127.0.0.1:(kDefaultLoopbackPort + r).
+inline constexpr std::uint16_t kDefaultLoopbackPort = 7421;
+
+/// Rank r listens on 127.0.0.1:(first_port + r). The only port + rank site.
+std::vector<Endpoint> loopback_host_list(std::uint32_t nprocs, std::uint16_t first_port);
 
 /// Resolves to an IPv4 socket address: inet_pton for dotted quads, else a
 /// getaddrinfo lookup (AF_INET). Returns false with *err set when the host

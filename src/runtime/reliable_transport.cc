@@ -286,7 +286,7 @@ class ReliableTransport::Endpoint final : public Actor {
     }
     if (a.cum_seq <= ch.acked) {
       rt_.stats_.stale_acks.fetch_add(1, std::memory_order_relaxed);
-      // Even a stale ack carries fresh SACK state — during loss recovery
+      // Even a stale ack carries fresh SACK state — in loss recovery
       // stale acks are the MAIN carrier of it.
       apply_sack(ch, a);
       // Fast retransmit: a stale ack while frames are in flight means the

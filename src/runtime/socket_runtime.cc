@@ -8,16 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#if defined(__linux__) && __has_include(<linux/io_uring.h>)
-#define PARIS_HAS_IO_URING 1
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#endif
-
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "common/assert.h"
@@ -153,9 +145,6 @@ constexpr std::uint32_t kRedialMaxTries = 64;
 constexpr std::uint64_t kBeaconPeriodUs = 50'000;  ///< epoch lease heartbeat
 constexpr std::uint64_t kFlushBudgetUs = 300'000;  ///< stop(): outbuf drain bound
 constexpr int kPollSliceMs = 100;
-/// batch_io=false (the bench's A/B baseline): one frame per write syscall
-/// and small reads — roughly the pre-§12 syscall pattern.
-constexpr std::size_t kUnbatchedReadChunk = 4096;
 /// Recycled frame buffers kept per peer; beyond this they just deallocate.
 constexpr std::size_t kSpareCap = 256;
 
@@ -202,212 +191,12 @@ bool parse_hello(const std::uint8_t (&h)[sockdetail::kHelloSize], std::uint32_t&
 
 }  // namespace
 
-#if PARIS_HAS_IO_URING
-
-namespace sockdetail {
-
-namespace {
-int sys_uring_setup(unsigned entries, io_uring_params* p) {
-  return static_cast<int>(syscall(__NR_io_uring_setup, entries, p));
-}
-int sys_uring_enter(int fd, unsigned submit, unsigned min_complete, unsigned flags) {
-  return static_cast<int>(
-      syscall(__NR_io_uring_enter, fd, submit, min_complete, flags, nullptr, 0));
-}
-}  // namespace
-
-/// One submission/completion ring shared by every peer socket, the wake
-/// pipe, the listen socket and a 50ms tick. Mapped and driven with raw
-/// syscalls; ops carry (kind | rank | conn_gen) in user_data so a
-/// completion that outlives its connection (fd numbers get reused) is
-/// recognized and discarded.
-struct Uring {
-  enum Kind : unsigned { kRecv = 1, kSend = 2, kWakeOp = 3, kListen = 4, kTick = 5 };
-
-  int ring_fd = -1;
-  unsigned sq_entries = 0, cq_entries = 0;
-  void* sq_ptr = nullptr;
-  void* cq_ptr = nullptr;
-  std::size_t sq_map_len = 0, cq_map_len = 0;
-  bool single_mmap = false;
-  io_uring_sqe* sqes = nullptr;
-  std::size_t sqe_map_len = 0;
-  // Raw ring pointers (kernel-shared); accessed with __atomic builtins.
-  unsigned* sq_head = nullptr;
-  unsigned* sq_tail = nullptr;
-  unsigned sq_mask = 0;
-  unsigned* sq_array = nullptr;
-  unsigned* cq_head = nullptr;
-  unsigned* cq_tail = nullptr;
-  unsigned cq_mask = 0;
-  io_uring_cqe* cqes = nullptr;
-  unsigned tail_local = 0;   ///< our private SQ tail
-  unsigned to_submit = 0;    ///< SQEs prepared since the last enter()
-  __kernel_timespec tick_ts{};
-  bool tick_armed = false;
-  bool wake_op_armed = false;
-  bool listen_armed = false;
-  std::uint8_t wake_buf[256];
-
-  ~Uring() {
-    if (sqes) munmap(sqes, sqe_map_len);
-    if (cq_ptr && cq_ptr != sq_ptr) munmap(cq_ptr, cq_map_len);
-    if (sq_ptr) munmap(sq_ptr, sq_map_len);
-    if (ring_fd >= 0) close(ring_fd);
-  }
-
-  static std::uint64_t ud(Kind k, std::uint32_t rank, std::uint32_t gen) {
-    return (static_cast<std::uint64_t>(k) << 56) |
-           (static_cast<std::uint64_t>(rank) << 32) | gen;
-  }
-
-  static std::unique_ptr<Uring> create(std::uint32_t nprocs, std::string* why) {
-    auto fail = [&](const char* what) {
-      if (why) *why = std::string(what) + ": " + std::strerror(errno);
-      return nullptr;
-    };
-    // Worst case per loop: one recv + one send per peer, wake, listen, tick.
-    unsigned entries = 32;
-    while (entries < 2 * nprocs + 8) entries <<= 1;
-    auto ur = std::make_unique<Uring>();
-    io_uring_params p{};
-    ur->ring_fd = sys_uring_setup(entries, &p);
-    if (ur->ring_fd < 0) return fail("io_uring_setup");
-    ur->sq_entries = p.sq_entries;
-    ur->cq_entries = p.cq_entries;
-    ur->sq_map_len = p.sq_off.array + p.sq_entries * sizeof(unsigned);
-    ur->cq_map_len = p.cq_off.cqes + p.cq_entries * sizeof(io_uring_cqe);
-#ifdef IORING_FEAT_SINGLE_MMAP
-    ur->single_mmap = (p.features & IORING_FEAT_SINGLE_MMAP) != 0;
-#endif
-    if (ur->single_mmap) {
-      ur->sq_map_len = ur->cq_map_len = std::max(ur->sq_map_len, ur->cq_map_len);
-    }
-    ur->sq_ptr = mmap(nullptr, ur->sq_map_len, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ur->ring_fd, IORING_OFF_SQ_RING);
-    if (ur->sq_ptr == MAP_FAILED) {
-      ur->sq_ptr = nullptr;
-      return fail("mmap sq ring");
-    }
-    if (ur->single_mmap) {
-      ur->cq_ptr = ur->sq_ptr;
-    } else {
-      ur->cq_ptr = mmap(nullptr, ur->cq_map_len, PROT_READ | PROT_WRITE,
-                        MAP_SHARED | MAP_POPULATE, ur->ring_fd, IORING_OFF_CQ_RING);
-      if (ur->cq_ptr == MAP_FAILED) {
-        ur->cq_ptr = nullptr;
-        return fail("mmap cq ring");
-      }
-    }
-    ur->sqe_map_len = p.sq_entries * sizeof(io_uring_sqe);
-    void* sq = mmap(nullptr, ur->sqe_map_len, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, ur->ring_fd, IORING_OFF_SQES);
-    if (sq == MAP_FAILED) return fail("mmap sqes");
-    ur->sqes = static_cast<io_uring_sqe*>(sq);
-    auto* sqb = static_cast<std::uint8_t*>(ur->sq_ptr);
-    auto* cqb = static_cast<std::uint8_t*>(ur->cq_ptr);
-    ur->sq_head = reinterpret_cast<unsigned*>(sqb + p.sq_off.head);
-    ur->sq_tail = reinterpret_cast<unsigned*>(sqb + p.sq_off.tail);
-    ur->sq_mask = *reinterpret_cast<unsigned*>(sqb + p.sq_off.ring_mask);
-    ur->sq_array = reinterpret_cast<unsigned*>(sqb + p.sq_off.array);
-    ur->cq_head = reinterpret_cast<unsigned*>(cqb + p.cq_off.head);
-    ur->cq_tail = reinterpret_cast<unsigned*>(cqb + p.cq_off.tail);
-    ur->cq_mask = *reinterpret_cast<unsigned*>(cqb + p.cq_off.ring_mask);
-    ur->cqes = reinterpret_cast<io_uring_cqe*>(cqb + p.cq_off.cqes);
-    ur->tail_local = __atomic_load_n(ur->sq_tail, __ATOMIC_ACQUIRE);
-#ifdef IORING_REGISTER_PROBE
-    {
-      // The ops we submit landed in different kernel releases (SEND/RECV
-      // are 5.6); verify support up front so an old kernel falls back at
-      // start() instead of dying per-op with -EINVAL completions.
-      constexpr unsigned kOps = 64;
-      std::vector<std::uint8_t> buf(sizeof(io_uring_probe) +
-                                    kOps * sizeof(io_uring_probe_op));
-      std::memset(buf.data(), 0, buf.size());
-      auto* probe = reinterpret_cast<io_uring_probe*>(buf.data());
-      if (syscall(__NR_io_uring_register, ur->ring_fd, IORING_REGISTER_PROBE, probe,
-                  kOps) == 0) {
-        for (unsigned op : {static_cast<unsigned>(IORING_OP_RECV),
-                            static_cast<unsigned>(IORING_OP_SEND),
-                            static_cast<unsigned>(IORING_OP_READ),
-                            static_cast<unsigned>(IORING_OP_POLL_ADD),
-                            static_cast<unsigned>(IORING_OP_TIMEOUT)}) {
-          if (op > probe->last_op ||
-              !(probe->ops[op].flags & IO_URING_OP_SUPPORTED)) {
-            if (why) *why = "kernel io_uring lacks a required opcode";
-            return nullptr;
-          }
-        }
-      }
-    }
-#endif
-    return ur;
-  }
-
-  /// Next free SQE, zeroed, already linked into sq_array; nullptr if the
-  /// ring is momentarily full (the caller retries next loop).
-  io_uring_sqe* get_sqe(std::uint64_t user_data) {
-    const unsigned head = __atomic_load_n(sq_head, __ATOMIC_ACQUIRE);
-    if (tail_local - head >= sq_entries) return nullptr;
-    const unsigned idx = tail_local & sq_mask;
-    io_uring_sqe* e = &sqes[idx];
-    std::memset(e, 0, sizeof(*e));
-    e->user_data = user_data;
-    sq_array[idx] = idx;
-    ++tail_local;
-    ++to_submit;
-    return e;
-  }
-
-  /// Publishes prepared SQEs and blocks for at least one completion (the
-  /// tick op bounds the wait). EINTR retries; other errors are fatal here —
-  /// the ring was validated at create().
-  void submit_and_wait() {
-    __atomic_store_n(sq_tail, tail_local, __ATOMIC_RELEASE);
-    while (true) {
-      const int r =
-          sys_uring_enter(ring_fd, to_submit, 1, IORING_ENTER_GETEVENTS);
-      if (r >= 0) {
-        to_submit -= static_cast<unsigned>(r) <= to_submit ? static_cast<unsigned>(r)
-                                                           : to_submit;
-        return;
-      }
-      if (errno == EINTR) continue;
-      PARIS_CHECK_MSG(false, "io_uring_enter failed mid-run");
-    }
-  }
-
-  bool pop(io_uring_cqe& out) {
-    const unsigned head = __atomic_load_n(cq_head, __ATOMIC_RELAXED);
-    const unsigned tail = __atomic_load_n(cq_tail, __ATOMIC_ACQUIRE);
-    if (head == tail) return false;
-    out = cqes[head & cq_mask];
-    __atomic_store_n(cq_head, head + 1, __ATOMIC_RELEASE);
-    return true;
-  }
-};
-
-}  // namespace sockdetail
-
-#else  // !PARIS_HAS_IO_URING
-
-namespace sockdetail {
-struct Uring {
-  static std::unique_ptr<Uring> create(std::uint32_t, std::string* why) {
-    if (why) *why = "built without <linux/io_uring.h>";
-    return nullptr;
-  }
-};
-}  // namespace sockdetail
-
-#endif  // PARIS_HAS_IO_URING
-
 SocketBackend::SocketBackend(Options opt)
     : opt_(std::move(opt)), tb_(ThreadBackend::Options{opt_.workers, opt_.seed}) {
-  PARIS_CHECK(opt_.nprocs >= 1 && opt_.rank < opt_.nprocs);
+  PARIS_CHECK(opt_.nprocs >= 1 && opt_.rank < opt_.nprocs && opt_.outbound_budget > 0);
   std::string err;
   PARIS_CHECK_MSG(validate_host_list(opt_.hosts, opt_.nprocs, &err),
-                  "socket backend: bad host list");
+                  ("socket backend: bad host list: " + err).c_str());
   tb_.set_router(this);
   peers_.reserve(opt_.nprocs);
   for (std::uint32_t r = 0; r < opt_.nprocs; ++r) {
@@ -514,8 +303,7 @@ bool SocketBackend::forward(NodeId from, NodeId to,
       stats_.dropped_dead.fetch_add(1, std::memory_order_relaxed);
       return true;  // consumed: link down, the reliable layer (if any) re-covers
     }
-    if (opt_.outbound_budget != 0 &&
-        p.queued.load(std::memory_order_relaxed) + flen > opt_.outbound_budget) {
+    if (p.queued.load(std::memory_order_relaxed) + flen > opt_.outbound_budget) {
       return false;  // ring full: the sender parks the envelope (backpressure)
     }
     std::vector<std::uint8_t> buf;
@@ -567,7 +355,7 @@ void SocketBackend::start() {
   sockaddr_in addr;
   std::string rerr;
   PARIS_CHECK_MSG(resolve_ipv4(opt_.hosts[opt_.rank], &addr, &rerr),
-                  "socket backend: cannot resolve own listen endpoint");
+                  ("socket backend: cannot resolve own listen endpoint: " + rerr).c_str());
   PARIS_CHECK_MSG(bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
                   "socket backend: bind failed (port in use?)");
   PARIS_CHECK(listen(listen_fd_, 64) == 0);
@@ -627,28 +415,12 @@ void SocketBackend::start() {
       std::lock_guard<std::mutex> lk(p.mu);
       p.fd = fd;
       p.alive = true;
-      ++p.conn_gen;
     }
     queue_beacon(p);  // the dialer learns OUR epoch from the first beacon
     --missing;
   }
 
   set_nonblocking(listen_fd_);
-
-  // Resolve the pump engine before the thread exists, so active_pump() and
-  // the fallback note are stable from the caller's point of view.
-  active_pump_ = opt_.pump;
-  if (opt_.pump == SocketPump::kUring) {
-    std::string why;
-    uring_ = sockdetail::Uring::create(opt_.nprocs, &why);
-    if (!uring_) {
-      std::fprintf(stderr,
-                   "[socket rank %u] io_uring unavailable (%s); falling back to poll\n",
-                   opt_.rank, why.c_str());
-      stats_.uring_fallback.store(1, std::memory_order_relaxed);
-      active_pump_ = SocketPump::kPoll;
-    }
-  }
 
   io_running_.store(true, std::memory_order_release);
   io_thread_ = std::thread([this] { io_main(); });
@@ -659,7 +431,7 @@ bool SocketBackend::dial_peer(std::uint32_t r, std::uint64_t deadline_us) {
   sockaddr_in addr;
   std::string rerr;
   PARIS_CHECK_MSG(resolve_ipv4(opt_.hosts[r], &addr, &rerr),
-                  "socket backend: cannot resolve peer endpoint");
+                  ("socket backend: cannot resolve peer endpoint: " + rerr).c_str());
   while (true) {  // always at least one attempt (redial passes a past deadline)
     const int fd = socket(AF_INET, SOCK_STREAM, 0);
     PARIS_CHECK(fd >= 0);
@@ -678,7 +450,6 @@ bool SocketBackend::dial_peer(std::uint32_t r, std::uint64_t deadline_us) {
         std::lock_guard<std::mutex> lk(p.mu);
         p.fd = fd;
         p.alive = true;
-        ++p.conn_gen;
         p.redial_tries = 0;
         p.redial_backoff_us = 0;
         p.redial_gave_up = false;
@@ -710,7 +481,6 @@ void SocketBackend::stop() {
     io_thread_.join();
   }
   io_running_.store(false, std::memory_order_release);
-  uring_.reset();  // tears down the ring; kernel cancels anything in flight
   for (auto& p : peers_) {
     if (p->fd >= 0) close(p->fd);
     p->fd = -1;
@@ -725,15 +495,9 @@ void SocketBackend::stop() {
 }
 
 void SocketBackend::mark_dead_locked(Peer& p) {
-  if (p.fd >= 0) {
-    // shutdown() before close() kicks any uring op still targeting this fd
-    // into completing promptly (EPIPE/ECONNRESET) instead of lingering.
-    shutdown(p.fd, SHUT_RDWR);
-    close(p.fd);
-  }
+  if (p.fd >= 0) close(p.fd);
   p.fd = -1;
   p.alive = false;
-  ++p.conn_gen;
   // A TCP stream died mid-frame: both the half-read input and the
   // half-written output are unusable. The reliable layer retransmits over
   // the replacement connection; without it this is honest message loss.
@@ -742,7 +506,6 @@ void SocketBackend::mark_dead_locked(Peer& p) {
   p.drain.clear();
   p.dcur.reset();
   p.queued.store(0, std::memory_order_relaxed);
-  if (!p.send_inflight) p.sbuf_off = p.sbuf_len = 0;  // else: CQE gen-mismatch discards
   // Fresh dead episode: quick first retry, then exponential backoff.
   p.redial_tries = 0;
   p.redial_backoff_us = kRedialBaseUs;
@@ -801,13 +564,12 @@ bool SocketBackend::process_inbound(Peer& p, std::size_t bytes_read) {
 }
 
 void SocketBackend::handle_readable(Peer& p) {
-  const std::size_t chunk =
-      opt_.batch_io ? sockdetail::kReadChunk : kUnbatchedReadChunk;
+  using sockdetail::kReadChunk;
   while (true) {
     // Read straight into the reassembler's tail: one syscall drains as many
     // frames as the kernel has buffered, with no bounce-buffer memcpy.
-    std::uint8_t* dst = p.in.reserve(chunk);
-    const ssize_t n = recv(p.fd, dst, chunk, 0);
+    std::uint8_t* dst = p.in.reserve(kReadChunk);
+    const ssize_t n = recv(p.fd, dst, kReadChunk, 0);
     if (n > 0) {
       stats_.read_syscalls.fetch_add(1, std::memory_order_relaxed);
       p.in.commit(static_cast<std::size_t>(n));
@@ -815,7 +577,7 @@ void SocketBackend::handle_readable(Peer& p) {
         mark_dead(p);
         return;
       }
-      if (static_cast<std::size_t>(n) < chunk) return;  // drained
+      if (static_cast<std::size_t>(n) < kReadChunk) return;  // drained
       continue;
     }
     if (n == 0) {  // orderly EOF: peer stopped or restarted
@@ -850,11 +612,10 @@ bool SocketBackend::refill_drain(Peer& p) {
 
 void SocketBackend::handle_writable(Peer& p) {
   struct iovec iov[sockdetail::kMaxWritevIovecs];
-  const std::size_t max_iov = opt_.batch_io ? sockdetail::kMaxWritevIovecs : 1;
   while (true) {
     if (!refill_drain(p)) return;
-    const std::size_t cnt =
-        p.dcur.build(p.drain, iov, max_iov, sockdetail::kMaxWritevBytes);
+    const std::size_t cnt = p.dcur.build(p.drain, iov, sockdetail::kMaxWritevIovecs,
+                                         sockdetail::kMaxWritevBytes);
     if (cnt == 0) return;
     std::size_t total = 0;
     for (std::size_t i = 0; i < cnt; ++i) total += iov[i].iov_len;
@@ -921,13 +682,11 @@ void SocketBackend::accept_pending() {
             if (p.fd >= 0) close(p.fd);  // replaced: the peer restarted its side
             p.fd = pa.fd;
             p.alive = true;
-            ++p.conn_gen;
             p.in.reset();
             p.out.clear();
             p.drain.clear();
             p.dcur.reset();
             p.queued.store(0, std::memory_order_relaxed);
-            if (!p.send_inflight) p.sbuf_off = p.sbuf_len = 0;
             p.redial_tries = 0;
             p.redial_backoff_us = 0;
             p.redial_gave_up = false;
@@ -950,7 +709,7 @@ void SocketBackend::accept_pending() {
   }
 }
 
-int SocketBackend::periodic(std::uint64_t now) {
+void SocketBackend::periodic(std::uint64_t now) {
   // Redial dead peers we originally dialed; the accept side of a dead
   // link just waits for the peer's redial. Backoff doubles per failed
   // attempt up to the cap; the jitter is a pure function of
@@ -985,20 +744,9 @@ int SocketBackend::periodic(std::uint64_t now) {
     }
     next_beacon_us_ = now + kBeaconPeriodUs;
   }
-  return kPollSliceMs;
 }
 
 void SocketBackend::io_main() {
-#if PARIS_HAS_IO_URING
-  if (uring_) {
-    io_main_uring(*uring_);
-    return;
-  }
-#endif
-  io_main_poll();
-}
-
-void SocketBackend::io_main_poll() {
   std::vector<pollfd> pfds;
   std::vector<Peer*> order;
   std::uint64_t flush_deadline_us = 0;
@@ -1073,7 +821,6 @@ SocketStats SocketBackend::stats() const {
   s.read_syscalls = stats_.read_syscalls.load(std::memory_order_relaxed);
   s.write_syscalls = stats_.write_syscalls.load(std::memory_order_relaxed);
   s.flushes = stats_.flushes.load(std::memory_order_relaxed);
-  s.uring_fallback = stats_.uring_fallback.load(std::memory_order_relaxed);
   // Backpressure is observed where it bites: the ThreadBackend's router
   // park path (the sender side of the seam).
   s.backpressure_stalls = tb_.router_parks();
@@ -1095,198 +842,5 @@ void SocketBackend::debug_stall_peer(std::uint32_t peer_rank, bool stalled) {
 std::uint64_t SocketBackend::debug_outbound_queued(std::uint32_t peer_rank) const {
   return peers_[peer_rank]->queued.load(std::memory_order_relaxed);
 }
-
-// ---------------------------------------------------------------------------
-// io_uring engine (DESIGN §12). Raw syscalls — no liburing dependency.
-// ---------------------------------------------------------------------------
-
-#if PARIS_HAS_IO_URING
-
-bool SocketBackend::probe_io_uring(std::string* why) {
-  auto ur = sockdetail::Uring::create(1, why);
-  return ur != nullptr;
-}
-
-void SocketBackend::io_main_uring(sockdetail::Uring& ur) {
-  using U = sockdetail::Uring;
-  std::uint64_t flush_deadline_us = 0;
-
-  // Stages the next outbound batch for `p` into its stable sbuf. Drain
-  // buffers recycle at staging time; the kernel only ever reads sbuf, which
-  // is never resized while a send is in flight (sends are armed one at a
-  // time per peer).
-  auto stage_send = [&](Peer& p) {
-    if (p.sbuf_off < p.sbuf_len) return true;  // resume the unsent remainder
-    if (!refill_drain(p)) return false;
-    struct iovec iov[sockdetail::kMaxWritevIovecs];
-    const std::size_t max_iov = opt_.batch_io ? sockdetail::kMaxWritevIovecs : 1;
-    const std::size_t cnt =
-        p.dcur.build(p.drain, iov, max_iov, sockdetail::kMaxWritevBytes);
-    if (cnt == 0) return false;
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < cnt; ++i) total += iov[i].iov_len;
-    if (p.sbuf.size() < total) p.sbuf.resize(total);
-    std::size_t off = 0;
-    for (std::size_t i = 0; i < cnt; ++i) {
-      std::memcpy(p.sbuf.data() + off, iov[i].iov_base, iov[i].iov_len);
-      off += iov[i].iov_len;
-    }
-    p.sbuf_off = 0;
-    p.sbuf_len = total;
-    p.dcur.advance(p.drain, total);  // staged == as good as queued for order
-    return true;
-  };
-
-  while (true) {
-    const bool flushing = flush_and_exit_.load(std::memory_order_acquire);
-    if (flushing && flush_deadline_us == 0) {
-      flush_deadline_us = tb_.now_us() + kFlushBudgetUs;
-    }
-    bool any_out = false;
-    for (std::uint32_t r = 0; r < opt_.nprocs; ++r) {
-      Peer& p = *peers_[r];
-      if (p.alive && (out_pending(p) || p.send_inflight)) any_out = true;
-    }
-    if (flushing && (!any_out || tb_.now_us() >= flush_deadline_us)) break;
-
-    // Arm everything that should be listening. A full SQ just defers the op
-    // to the next loop — completions free slots monotonically.
-    if (!ur.wake_op_armed) {
-      if (auto* e = ur.get_sqe(U::ud(U::kWakeOp, 0, 0))) {
-        e->opcode = IORING_OP_READ;
-        e->fd = wake_rd_;
-        e->addr = reinterpret_cast<std::uint64_t>(ur.wake_buf);
-        e->len = sizeof(ur.wake_buf);
-        ur.wake_op_armed = true;
-      }
-    }
-    if (!ur.listen_armed) {
-      if (auto* e = ur.get_sqe(U::ud(U::kListen, 0, 0))) {
-        e->opcode = IORING_OP_POLL_ADD;
-        e->fd = listen_fd_;
-        e->poll_events = POLLIN;
-        ur.listen_armed = true;
-      }
-    }
-    if (!ur.tick_armed) {
-      if (auto* e = ur.get_sqe(U::ud(U::kTick, 0, 0))) {
-        ur.tick_ts.tv_sec = 0;
-        ur.tick_ts.tv_nsec = 50'000'000;  // beacon/redial cadence
-        e->opcode = IORING_OP_TIMEOUT;
-        e->addr = reinterpret_cast<std::uint64_t>(&ur.tick_ts);
-        e->len = 1;
-        ur.tick_armed = true;
-      }
-    }
-    for (std::uint32_t r = 0; r < opt_.nprocs; ++r) {
-      Peer& p = *peers_[r];
-      if (!p.alive || p.fd < 0 || p.stalled.load(std::memory_order_acquire)) continue;
-      if (!p.recv_inflight) {
-        const std::size_t chunk =
-            opt_.batch_io ? sockdetail::kReadChunk : kUnbatchedReadChunk;
-        // The reassembler tail is stable until the completion: nothing else
-        // touches p.in while this op is in flight (reset() keeps capacity).
-        std::uint8_t* dst = p.in.reserve(chunk);
-        if (auto* e = ur.get_sqe(U::ud(U::kRecv, r, p.conn_gen))) {
-          e->opcode = IORING_OP_RECV;
-          e->fd = p.fd;
-          e->addr = reinterpret_cast<std::uint64_t>(dst);
-          e->len = static_cast<unsigned>(chunk);
-          p.recv_inflight = true;
-        }
-      }
-      if (!p.send_inflight && stage_send(p)) {
-        if (auto* e = ur.get_sqe(U::ud(U::kSend, r, p.conn_gen))) {
-          e->opcode = IORING_OP_SEND;
-          e->fd = p.fd;
-          e->addr = reinterpret_cast<std::uint64_t>(p.sbuf.data() + p.sbuf_off);
-          e->len = static_cast<unsigned>(p.sbuf_len - p.sbuf_off);
-          e->msg_flags = MSG_NOSIGNAL;
-          p.send_inflight = true;
-        }
-      }
-    }
-
-    ur.submit_and_wait();
-
-    io_uring_cqe cqe;
-    while (ur.pop(cqe)) {
-      const unsigned kind = static_cast<unsigned>(cqe.user_data >> 56);
-      const std::uint32_t r = static_cast<std::uint32_t>(cqe.user_data >> 32) &
-                              0x00FF'FFFFu;
-      const std::uint32_t gen = static_cast<std::uint32_t>(cqe.user_data);
-      switch (kind) {
-        case U::kWakeOp: {
-          ur.wake_op_armed = false;
-          std::uint8_t sink[256];
-          while (read(wake_rd_, sink, sizeof(sink)) > 0) {
-          }
-          wake_armed_.store(false, std::memory_order_release);
-          break;
-        }
-        case U::kListen:
-          ur.listen_armed = false;
-          accept_pending();
-          break;
-        case U::kTick:
-          ur.tick_armed = false;  // periodic work runs below every loop
-          break;
-        case U::kRecv: {
-          Peer& p = *peers_[r];
-          p.recv_inflight = false;
-          if (gen != p.conn_gen) break;  // a previous connection's completion
-          if (cqe.res > 0) {
-            stats_.read_syscalls.fetch_add(1, std::memory_order_relaxed);
-            p.in.commit(static_cast<std::size_t>(cqe.res));
-            if (!process_inbound(p, static_cast<std::size_t>(cqe.res))) mark_dead(p);
-          } else if (cqe.res == 0) {
-            mark_dead(p);  // orderly EOF
-          } else if (cqe.res != -EAGAIN && cqe.res != -EINTR) {
-            mark_dead(p);
-          }
-          break;
-        }
-        case U::kSend: {
-          Peer& p = *peers_[r];
-          p.send_inflight = false;
-          if (gen != p.conn_gen) {
-            p.sbuf_off = p.sbuf_len = 0;  // stale staging: discard
-            break;
-          }
-          if (cqe.res > 0) {
-            stats_.write_syscalls.fetch_add(1, std::memory_order_relaxed);
-            stats_.bytes_out.fetch_add(static_cast<std::uint64_t>(cqe.res),
-                                       std::memory_order_relaxed);
-            p.sbuf_off += static_cast<std::size_t>(cqe.res);
-            p.queued.fetch_sub(static_cast<std::uint64_t>(cqe.res),
-                               std::memory_order_relaxed);
-            if (p.sbuf_off < p.sbuf_len) {
-              stats_.short_writes.fetch_add(1, std::memory_order_relaxed);
-            }
-          } else if (cqe.res != -EAGAIN && cqe.res != -EINTR) {
-            mark_dead(p);
-          }
-          break;
-        }
-        default:
-          break;
-      }
-    }
-
-    if (!pending_.empty()) accept_pending();  // progress partial hellos
-    if (!flushing) periodic(tb_.now_us());
-  }
-}
-
-#else  // !PARIS_HAS_IO_URING
-
-bool SocketBackend::probe_io_uring(std::string* why) {
-  if (why) *why = "built without <linux/io_uring.h>";
-  return false;
-}
-
-void SocketBackend::io_main_uring(sockdetail::Uring&) {}
-
-#endif  // PARIS_HAS_IO_URING
 
 }  // namespace paris::runtime

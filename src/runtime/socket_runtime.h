@@ -14,26 +14,18 @@
 // encoded message IS a wire::ReliableFrame / wire::ReliableAck — the same
 // seq/ack/SACK framing the thread runtime uses — so retransmission, dedup
 // and selective repeat work identically across the process boundary; the
-// whole decorator chain (Reliable → Chaos → Partition → Latency) composes
-// on top unchanged, because it runs above the Transport seam in the sending
-// process.
+// whole decorator chain (Reliable → Fuzz → Chaos → Partition → Wan →
+// Latency, built by proto::Deployment) composes on top unchanged, because it
+// runs above the Transport seam in the sending process.
 //
-// I/O model (DESIGN §12): one pump thread per process services the peer
-// sockets (all nonblocking), the listen socket and a wake pipe, through one
-// of two interchangeable engines selected by Options::pump:
-//
-//   * poll: a poll(2) readiness loop. Outbound frames queue per peer as a
-//     ring of frame buffers; the pump swaps the ring for its private drain
-//     list and flushes it as iovec chains via one sendmsg() per batch (≤
-//     kMaxWritevIovecs iovecs / kMaxWritevBytes bytes per call, resuming
-//     mid-iovec after a short write). Inbound reads land directly in the
-//     reassembler's buffer in kReadChunk gulps, so one syscall drains many
-//     frames.
-//   * uring: the same batching policy driven by an io_uring submission
-//     ring (recv + sendmsg SQEs, a timeout tick for beacons/redial).
-//     Probed at runtime; when the kernel lacks io_uring the backend logs a
-//     note, counts uring_fallback and runs the poll engine instead — never
-//     a hard failure.
+// I/O model (DESIGN §12): one pump thread per process runs a poll(2)
+// readiness loop over the peer sockets (all nonblocking), the listen socket
+// and a wake pipe. Outbound frames queue per peer as a ring of frame
+// buffers; the pump swaps the ring for its private drain list and flushes
+// it as iovec chains via one sendmsg() per batch (≤ kMaxWritevIovecs iovecs
+// / kMaxWritevBytes bytes per call, resuming mid-iovec after a short
+// write). Inbound reads land directly in the reassembler's buffer in
+// kReadChunk gulps, so one syscall drains many frames.
 //
 // Flow control: each peer's outbound ring is bounded by
 // Options::outbound_budget bytes. When the ring is full, forward() REFUSES
@@ -66,7 +58,7 @@
 //
 // Determinism: none beyond the thread runtime's — see DESIGN §10/§12 for
 // which guarantees survive real sockets (checker-validated convergence
-// does, under either pump engine; byte-identical output and
+// does; byte-identical output and
 // seed-reproducible chaos schedules across processes do not, since every
 // process draws from its own stream and the kernel orders completions).
 
@@ -86,27 +78,16 @@
 
 namespace paris::runtime {
 
-/// Which engine drives the socket pump thread (DESIGN §12).
-enum class SocketPump : std::uint8_t {
-  kPoll = 0,   ///< poll(2) readiness loop (default, works everywhere)
-  kUring = 1,  ///< io_uring submission ring; falls back to poll if absent
-};
-
-inline const char* socket_pump_name(SocketPump p) {
-  return p == SocketPump::kUring ? "uring" : "poll";
-}
-
 /// Placement + wiring of a multi-process socket deployment. rank < 0 means
 /// "launcher": run_experiment spawns the children and aggregates; only
 /// children (rank >= 0) ever build a SocketBackend.
 struct SocketConfig {
   std::int32_t rank = -1;        ///< this process's rank; -1 = launcher
   std::uint32_t processes = 0;   ///< 0 = one per DC
-  /// Rank r listens on hosts[r]. Empty = the deprecated --listen-base-port
-  /// convenience applies: the deployment expands loopback_host_list(nprocs,
-  /// base_port) — the only surviving base_port + rank site in the tree.
+  /// Rank r listens on hosts[r]. The launcher fills an empty list with the
+  /// loopback default (kDefaultLoopbackPort + r) before it encodes the child
+  /// config; children and the deployment require one entry per process.
   std::vector<Endpoint> hosts;
-  std::uint16_t base_port = 7421;  ///< DEPRECATED alias; see `hosts`
   std::uint64_t connect_timeout_ms = 15'000;
   /// Mesh identity, echoed in every connection hello: two concurrent runs
   /// sharing a port range must not silently cross-connect their clusters.
@@ -126,15 +107,9 @@ struct SocketConfig {
   /// supervised wait have elapsed (-1 = no scheduled kill).
   std::int32_t kill_rank = -1;
   std::uint64_t kill_after_ms = 0;
-  /// I/O pump engine; uring probes at runtime and falls back to poll.
-  SocketPump pump = SocketPump::kPoll;
-  /// Per-peer outbound ring budget in bytes; a full ring makes forward()
-  /// refuse frames so senders park (backpressure). 0 = unbounded (the
-  /// pre-§12 behavior, kept for A/B measurement only).
+  /// Per-peer outbound ring budget in bytes (> 0); a full ring makes
+  /// forward() refuse frames so senders park (backpressure).
   std::uint64_t outbound_budget = 4u << 20;
-  /// false = one frame per write syscall + 4KB reads (the unbatched path,
-  /// kept measurable for the bench's batched-vs-unbatched row).
-  bool batch_io = true;
   /// Coordinated-omission regression hook (tests): stall_at_ms into the run,
   /// the child with rank == stall_rank stops draining outbound frames toward
   /// stall_peer for stall_len_ms (debug_stall_peer), then resumes. A
@@ -164,12 +139,11 @@ struct SocketStats {
   std::uint64_t redial_giveups = 0;    ///< dead episodes that hit the retry cap
   std::uint64_t fenced_stale_epoch = 0;  ///< hellos/beacons from a dead incarnation
   std::uint64_t malformed_frames = 0;    ///< inbound frames failing validation
-  std::uint64_t read_syscalls = 0;   ///< recv/readv/uring-recv completions
-  std::uint64_t write_syscalls = 0;  ///< sendmsg/uring-send completions
+  std::uint64_t read_syscalls = 0;   ///< recv() calls that returned bytes
+  std::uint64_t write_syscalls = 0;  ///< sendmsg() calls that wrote bytes
   std::uint64_t flushes = 0;         ///< outbound ring→drain swaps (batches)
   std::uint64_t backpressure_stalls = 0;  ///< envelopes parked: peer ring full
   std::uint64_t backpressure_drops = 0;   ///< parked envelopes shed at the cap
-  std::uint64_t uring_fallback = 0;  ///< 1 if uring was asked for but absent
 
   /// Syscalls spent per frame moved (both directions); the bench's headline
   /// batching metric. 0 when no frames moved.
@@ -294,8 +268,6 @@ class FrameQueueCursor {
   std::size_t off_ = 0;    ///< written prefix of frames[frame_]
 };
 
-struct Uring;  // io_uring engine state; defined in socket_runtime.cc only
-
 }  // namespace sockdetail
 
 class SocketBackend final : public Backend, public RemoteRouter {
@@ -314,12 +286,9 @@ class SocketBackend final : public Backend, public RemoteRouter {
     std::uint64_t mesh_token = 0;
     /// This rank's incarnation epoch (0 = initial spawn); see SocketConfig.
     std::uint32_t epoch = 0;
-    /// I/O pump engine; kUring probes at start() and falls back to poll.
-    SocketPump pump = SocketPump::kPoll;
-    /// Per-peer outbound ring budget in bytes (0 = unbounded); see
+    /// Per-peer outbound ring budget in bytes (> 0); see
     /// SocketConfig::outbound_budget.
     std::uint64_t outbound_budget = 4u << 20;
-    bool batch_io = true;  ///< false: 1 frame/write + 4KB reads (bench A/B)
   };
 
   explicit SocketBackend(Options opt);
@@ -353,16 +322,9 @@ class SocketBackend final : public Backend, public RemoteRouter {
   std::uint32_t rank() const { return opt_.rank; }
   std::uint32_t nprocs() const { return opt_.nprocs; }
   std::uint32_t epoch() const { return opt_.epoch; }
-  /// Engine actually driving the pump (kPoll after a uring fallback).
-  SocketPump active_pump() const { return active_pump_; }
   SocketStats stats() const;
 
-  /// True when this kernel can set up and drive an io_uring; `why` (if
-  /// non-null) gets the failure reason. Probing builds and tears down a
-  /// tiny ring — cheap enough for CLI/CI gating (--probe-io-uring).
-  static bool probe_io_uring(std::string* why = nullptr);
-
-  /// Fired (from the pump thread, or the start() caller during mesh setup)
+  /// Fired (from the pump thread, or from start() while it builds the mesh)
   /// whenever a peer rank's known epoch INCREASES — i.e. that rank was
   /// respawned. Install before start(); the deployment layer uses it to
   /// reset reliable channels and fence lost coordinators.
@@ -424,7 +386,7 @@ class SocketBackend final : public Backend, public RemoteRouter {
     // so a slow syscall burst never stalls a forwarding worker. Short
     // writes resume at `dcur`; order holds because drain always empties
     // before the next swap. `queued` tracks every unwritten byte
-    // (out + drain + staged) — forward()'s budget check and the pump's
+    // (out + drain) — forward()'s budget check and the pump's
     // "anything pending?" test read it lock-free.
     std::mutex mu;
     std::vector<std::vector<std::uint8_t>> out;    ///< producers, under mu
@@ -433,31 +395,17 @@ class SocketBackend final : public Backend, public RemoteRouter {
     sockdetail::FrameQueueCursor dcur;             ///< pump thread only
     std::atomic<std::uint64_t> queued{0};
     std::atomic<bool> stalled{false};  ///< debug_stall_peer
-    // uring engine only (pump thread): one recv and one send op may be in
-    // flight per peer; staged send bytes live in sbuf so drain buffers can
-    // recycle at submission time while the kernel still reads sbuf.
-    bool recv_inflight = false;
-    bool send_inflight = false;
-    std::vector<std::uint8_t> sbuf;  ///< staged send bytes (stable in flight)
-    std::size_t sbuf_off = 0, sbuf_len = 0;
-    /// Bumped on every fd change (attach/redial/death). uring completions
-    /// carry the generation they were submitted under; a mismatch means the
-    /// op belongs to a previous connection (fd numbers get reused) and its
-    /// result is discarded.
-    std::uint32_t conn_gen = 0;
   };
 
   void io_main();
-  void io_main_poll();
-  void io_main_uring(sockdetail::Uring& ur);
-  /// Shared periodic work (both engines): beacons, redial schedule,
-  /// pending-hello progression. Returns the poll/tick timeout hint in ms.
-  int periodic(std::uint64_t now_us);
+  /// Periodic pump work, run once per poll round: redial schedule and
+  /// epoch beacons.
+  void periodic(std::uint64_t now_us);
   void handle_readable(Peer& p);
   void handle_writable(Peer& p);
   /// Runs the reassembler over freshly-committed inbound bytes: beacons,
-  /// validation, mailbox injection. Shared by both engines. Returns false
-  /// when the stream went corrupt (caller must mark_dead).
+  /// validation, mailbox injection. Returns false when the stream went
+  /// corrupt (caller must mark_dead).
   bool process_inbound(Peer& p, std::size_t bytes_read);
   /// Swaps out→drain when drain is empty (recycling spent buffers into
   /// spare); returns true when drain has unwritten bytes afterwards.
@@ -501,17 +449,12 @@ class SocketBackend final : public Backend, public RemoteRouter {
   std::atomic<bool> flush_and_exit_{false};
   bool started_ = false;
   bool stopped_ = false;
-  SocketPump active_pump_ = SocketPump::kPoll;
-  /// Live io_uring engine state (null when polling); built in start() so
-  /// the fallback decision is visible before the pump thread exists.
-  std::unique_ptr<sockdetail::Uring> uring_;
 
   struct AtomicStats {
     std::atomic<std::uint64_t> frames_out{0}, frames_in{0}, bytes_out{0}, bytes_in{0},
         partial_reads{0}, short_writes{0}, reconnects{0}, dropped_dead{0},
         redial_attempts{0}, redial_giveups{0}, fenced_stale_epoch{0},
-        malformed_frames{0}, read_syscalls{0}, write_syscalls{0}, flushes{0},
-        uring_fallback{0};
+        malformed_frames{0}, read_syscalls{0}, write_syscalls{0}, flushes{0};
   };
   AtomicStats stats_;
 

@@ -36,7 +36,10 @@ namespace {
 /// key, removed key, or changed value semantics.
 ///   v1: unversioned historical format (no cfgver line).
 ///   v2: cfgver header; socket_hosts; membership_event lines.
-constexpr std::uint64_t kConfigCodecVersion = 2;
+///   v3: the launcher always writes socket_hosts (it expands the loopback
+///       default itself); the port-base, pump-engine and unbatched-I/O keys
+///       are gone.
+constexpr std::uint64_t kConfigCodecVersion = 3;
 
 void put(std::ostringstream& o, const char* k, std::uint64_t v) {
   o << k << ' ' << v << '\n';
@@ -127,7 +130,6 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
   put(o, "min_rto_us", c.reliable_cfg.min_rto_us);
   put(o, "codec", static_cast<std::uint64_t>(c.codec));
   put(o, "socket_processes", static_cast<std::uint64_t>(c.socket.processes));
-  put(o, "socket_base_port", static_cast<std::uint64_t>(c.socket.base_port));
   // Single token: "h1:p1,h2:p2,..." has no whitespace by construction.
   if (!c.socket.hosts.empty()) {
     o << "socket_hosts " << runtime::format_host_list(c.socket.hosts) << '\n';
@@ -141,9 +143,7 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
   put(o, "socket_kill_rank",
       static_cast<std::uint64_t>(static_cast<std::int64_t>(c.socket.kill_rank)));
   put(o, "socket_kill_after_ms", c.socket.kill_after_ms);
-  put(o, "socket_pump", static_cast<std::uint64_t>(c.socket.pump));
   put(o, "socket_outbound_budget", c.socket.outbound_budget);
-  put(o, "socket_batch_io", static_cast<std::uint64_t>(c.socket.batch_io));
   put(o, "socket_stall_rank",
       static_cast<std::uint64_t>(static_cast<std::int64_t>(c.socket.stall_rank)));
   put(o, "socket_stall_peer", static_cast<std::uint64_t>(c.socket.stall_peer));
@@ -383,8 +383,6 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.codec = static_cast<sim::CodecMode>(u);
     } else if (key == "socket_processes") {
       c.socket.processes = static_cast<std::uint32_t>(u);
-    } else if (key == "socket_base_port") {
-      c.socket.base_port = static_cast<std::uint16_t>(u);
     } else if (key == "socket_hosts") {
       if (!runtime::parse_host_list(val, &c.socket.hosts, err)) return false;
     } else if (key == "socket_connect_timeout_ms") {
@@ -399,12 +397,8 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.socket.kill_rank = static_cast<std::int32_t>(static_cast<std::int64_t>(u));
     } else if (key == "socket_kill_after_ms") {
       c.socket.kill_after_ms = u;
-    } else if (key == "socket_pump") {
-      c.socket.pump = static_cast<runtime::SocketPump>(u);
     } else if (key == "socket_outbound_budget") {
       c.socket.outbound_budget = u;
-    } else if (key == "socket_batch_io") {
-      c.socket.batch_io = u != 0;
     } else if (key == "socket_stall_rank") {
       c.socket.stall_rank = static_cast<std::int32_t>(static_cast<std::int64_t>(u));
     } else if (key == "socket_stall_peer") {
@@ -557,7 +551,6 @@ void encode_child_result(const ExperimentResult& res,
   e.put_varint(res.socket.flushes);
   e.put_varint(res.socket.backpressure_stalls);
   e.put_varint(res.socket.backpressure_drops);
-  e.put_varint(res.socket.uring_fallback);
   e.put_varint(res.wan.shaped);
   e.put_varint(res.wan.ge_dropped);
   e.put_varint(res.wan.duplicated);
@@ -659,7 +652,6 @@ bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& 
   res.socket.flushes = d.get_varint();
   res.socket.backpressure_stalls = d.get_varint();
   res.socket.backpressure_drops = d.get_varint();
-  res.socket.uring_fallback = d.get_varint();
   res.wan.shaped = d.get_varint();
   res.wan.ge_dropped = d.get_varint();
   res.wan.duplicated = d.get_varint();
@@ -708,19 +700,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
   const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.num_dcs);
   PARIS_CHECK_MSG(nprocs >= 1 && nprocs <= cfg.num_dcs,
                   "sockets: --processes must be in [1, dcs] (ownership is dc %% processes)");
-  std::vector<runtime::Endpoint> hosts;
-  if (cfg.socket.hosts.empty()) {
-    // Deprecated --listen-base-port path: the expansion itself needs the
-    // whole contiguous port range to fit.
-    PARIS_CHECK_MSG(static_cast<std::uint32_t>(cfg.socket.base_port) + nprocs - 1 <= 65535,
-                    "sockets: --listen-base-port + processes overflows the port range");
-    hosts = runtime::loopback_host_list(nprocs, cfg.socket.base_port);
-  } else {
-    std::string host_err;
-    PARIS_CHECK_MSG(runtime::validate_host_list(cfg.socket.hosts, nprocs, &host_err),
-                    host_err.c_str());
-    hosts = cfg.socket.hosts;
-  }
 
   std::string dir = cfg.socket.dir;
   if (dir.empty()) {
@@ -736,10 +715,17 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     (void)::mkdir(dir.c_str(), 0755);  // fine if any component already exists
   }
 
+  ExperimentConfig child_cfg = cfg;
+  // The one place the loopback default is decided: children and the
+  // deployment only ever see a complete host list.
+  std::vector<runtime::Endpoint>& hosts = child_cfg.socket.hosts;
+  if (hosts.empty()) hosts = runtime::loopback_host_list(nprocs, runtime::kDefaultLoopbackPort);
+  std::string host_err;
+  PARIS_CHECK_MSG(runtime::validate_host_list(hosts, nprocs, &host_err),
+                  ("sockets: " + host_err).c_str());
   // Every mesh gets a distinct hello token so two concurrent runs sharing
   // a port range reject each other's connections instead of silently
   // cross-wiring their clusters.
-  ExperimentConfig child_cfg = cfg;
   if (child_cfg.socket.mesh_token == 0) {
     child_cfg.socket.mesh_token =
         (static_cast<std::uint64_t>(getpid()) << 32) ^ splitmix64(cfg.seed + 1);
@@ -859,7 +845,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     res.socket.flushes += part.socket.flushes;
     res.socket.backpressure_stalls += part.socket.backpressure_stalls;
     res.socket.backpressure_drops += part.socket.backpressure_drops;
-    res.socket.uring_fallback += part.socket.uring_fallback;
     res.wan.shaped += part.wan.shaped;
     res.wan.ge_dropped += part.wan.ge_dropped;
     res.wan.duplicated += part.wan.duplicated;
@@ -961,11 +946,11 @@ void maybe_run_socket_child(int argc, char** argv) {
   // respawn of a rank gets a bumped value while the siblings keep theirs.
   cfg.socket.epoch = static_cast<std::uint32_t>(std::strtoul(argv[5], nullptr, 10));
   const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.num_dcs);
-  const std::vector<runtime::Endpoint> hosts =
-      cfg.socket.hosts.empty()
-          ? runtime::loopback_host_list(nprocs, cfg.socket.base_port)
-          : cfg.socket.hosts;
-  PARIS_CHECK_MSG(static_cast<std::size_t>(cfg.socket.rank) < hosts.size(),
+  const std::vector<runtime::Endpoint>& hosts = cfg.socket.hosts;
+  std::string host_err;
+  PARIS_CHECK_MSG(runtime::validate_host_list(hosts, nprocs, &host_err),
+                  ("socket child: " + host_err).c_str());
+  PARIS_CHECK_MSG(cfg.socket.rank >= 0 && static_cast<std::uint32_t>(cfg.socket.rank) < nprocs,
                   "socket child: rank outside the host list");
   std::printf("socket child: rank %d/%u epoch %u pid %d system=%s listen=%s\n",
               cfg.socket.rank, nprocs, cfg.socket.epoch, static_cast<int>(getpid()),

@@ -1,7 +1,7 @@
 // Endpoint/host-list parsing tests: the cross-host addressing API that
 // replaced base_port + rank arithmetic (DESIGN §10). Covers IPv4 literals,
 // hostnames, bad ports, duplicate endpoints, count mismatch vs --processes,
-// and the back-compat loopback expansion.
+// and the loopback expansion behind the launcher's default host list.
 
 #include <gtest/gtest.h>
 

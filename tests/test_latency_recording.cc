@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/endpoint.h"
 #include "stats/latency_recorder.h"
 #include "workload/experiment.h"
 #include "workload/socket_runner.h"
@@ -111,7 +112,7 @@ ExperimentConfig stall_config(std::uint16_t base_port, bool open_loop) {
   cfg.replication = 1;
   cfg.threads_per_process = 2;
   cfg.socket.processes = 2;
-  cfg.socket.base_port = base_port;
+  cfg.socket.hosts = runtime::loopback_host_list(2, base_port);
   // Every transaction spans both partitions so the stalled direction gates
   // all traffic (replication=1: each partition lives in exactly one DC).
   cfg.workload.ops_per_tx = 4;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "runtime/endpoint.h"
 #include "workload/experiment.h"
@@ -45,7 +46,8 @@ ExperimentConfig memb_config(proto::System sys, runtime::Kind rt,
   cfg.codec = sim::CodecMode::kBytes;
   if (rt == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = base_port;
+    // base_port 0: a codec-only config, encoded but never launched.
+    if (base_port != 0) cfg.socket.hosts = runtime::loopback_host_list(3, base_port);
     cfg.reliable = true;  // beacons converge views; retransmission heals data
   }
   return cfg;
@@ -214,13 +216,22 @@ TEST(ConfigCodec, VersionSkewNamesBothVersions) {
 
 TEST(ConfigCodec, UnknownKeyWithinMatchingVersionStillFails) {
   const auto cfg = memb_config(proto::System::kParis, runtime::Kind::kSockets, 0, 1);
-  const std::string text =
-      detail::encode_experiment_config(cfg) + "some_future_knob 7\n";
+  // A knob from the future, and keys that codec v3 retired: the io_uring pump
+  // switch, the unbatched-I/O switch and the base-port alias.
+  const std::pair<std::string, std::string> lines[] = {{"some_future_knob", "7"},
+                                                       {"socket_pump", "1"},
+                                                       {"socket_batch_io", "0"},
+                                                       {"socket_base_port", "7421"}};
+  for (const auto& [key, value] : lines) {
+    SCOPED_TRACE(key);
+    const std::string text =
+        detail::encode_experiment_config(cfg) + key + " " + value + "\n";
 
-  ExperimentConfig out;
-  std::string err;
-  EXPECT_FALSE(detail::decode_experiment_config(text, out, &err));
-  EXPECT_NE(err.find("some_future_knob"), std::string::npos) << err;
+    ExperimentConfig out;
+    std::string err;
+    EXPECT_FALSE(detail::decode_experiment_config(text, out, &err));
+    EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
+  }
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 
 #include "cluster/membership.h"
 #include "placement/placement.h"
+#include "runtime/endpoint.h"
 #include "workload/experiment.h"
 #include "workload/socket_runner.h"
 
@@ -151,7 +152,7 @@ ExperimentConfig migration_config(proto::System sys, runtime::Kind rt, std::uint
   cfg.threads_per_process = 4;
   if (rt == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = base_port;
+    cfg.socket.hosts = runtime::loopback_host_list(3, base_port);
   }
   // Hot-spot skew accessed from every DC: each hot key's current partition
   // carries its (large) sketched load, so the balance tie-break always finds

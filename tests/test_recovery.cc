@@ -350,7 +350,7 @@ workload::ExperimentConfig kill_under_load_config(System sys, std::uint16_t base
   cfg.num_partitions = 3;
   cfg.replication = replication;
   cfg.socket.processes = 3;
-  cfg.socket.base_port = base_port;
+  cfg.socket.hosts = runtime::loopback_host_list(3, base_port);
   cfg.socket.supervise = true;
   cfg.socket.max_respawns = 2;
   cfg.socket.kill_rank = 1;

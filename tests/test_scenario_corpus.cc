@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/endpoint.h"
 #include "scenario/scenario.h"
 #include "workload/experiment.h"
 #include "workload/socket_runner.h"
@@ -82,7 +83,8 @@ TEST(ScenarioCorpus, EveryPinnedScheduleReplaysClean) {
       ASSERT_LE(next_port + s.socket_processes, kCorpusBasePort + kCorpusPortBlock)
           << "the corpus outgrew its port block; widen kCorpusPortBlock into free "
              "ports (tools/check_docs.py lists the registry)";
-      cfg.socket.base_port = static_cast<std::uint16_t>(next_port);
+      cfg.socket.hosts = runtime::loopback_host_list(s.socket_processes,
+                                                     static_cast<std::uint16_t>(next_port));
       next_port += s.socket_processes;
     }
     const workload::ExperimentResult res = workload::run_experiment(cfg);

@@ -203,11 +203,13 @@ wire::MessagePtr numbered(std::uint64_t i) {
 struct Half {
   explicit Half(std::uint32_t rank, std::uint16_t base_port,
                 std::uint64_t outbound_budget = 4u << 20)
-      : be(SocketBackend::Options{rank, 2, runtime::loopback_host_list(2, base_port),
-                                  /*workers=*/1, /*seed=*/1,
-                                  /*connect_timeout_ms=*/10'000, /*mesh_token=*/0,
-                                  /*epoch=*/0, runtime::SocketPump::kPoll,
-                                  outbound_budget}) {
+      : be(SocketBackend::Options{.rank = rank,
+                                  .nprocs = 2,
+                                  .hosts = runtime::loopback_host_list(2, base_port),
+                                  .workers = 1,
+                                  .seed = 1,
+                                  .connect_timeout_ms = 10'000,
+                                  .outbound_budget = outbound_budget}) {
     n0 = be.add_node(rank == 0 ? static_cast<runtime::Actor*>(&sink) : &null_, /*dc=*/0,
                      nullptr);
     n1 = be.add_node(rank == 1 ? static_cast<runtime::Actor*>(&sink) : &null_, /*dc=*/1,
@@ -218,6 +220,16 @@ struct Half {
   NullActor null_;
   NodeId n0 = kInvalidNode, n1 = kInvalidNode;
 };
+
+// Nothing below the launcher falls back to a default host list, so a bad
+// list must abort with the reason it was refused.
+TEST(SocketBackendOptions, BadHostListAbortsWithTheReason) {
+  EXPECT_DEATH(SocketBackend(SocketBackend::Options{.rank = 0, .nprocs = 2, .hosts = {}}),
+               "bad host list: host list names 0 endpoints but the cluster runs 2");
+  const runtime::Endpoint ep{"127.0.0.1", 7601};
+  EXPECT_DEATH(SocketBackend(SocketBackend::Options{.rank = 0, .nprocs = 2, .hosts = {ep, ep}}),
+               "bad host list: duplicate endpoint");
+}
 
 TEST(SocketBackendPair, DeliversAcrossRealTcpInOrder) {
   Half a(0, 7601), b(1, 7601);
@@ -254,9 +266,12 @@ TEST(SocketBackendPair, DeliversAcrossRealTcpInOrder) {
 /// actors are wrapped by a per-half ReliableTransport before registration.
 struct ReliableHalf {
   explicit ReliableHalf(std::uint32_t rank, std::uint16_t base_port, ReliableConfig cfg)
-      : be(SocketBackend::Options{rank, 2, runtime::loopback_host_list(2, base_port),
-                                  /*workers=*/1, /*seed=*/1,
-                                  /*connect_timeout_ms=*/10'000}),
+      : be(SocketBackend::Options{.rank = rank,
+                                  .nprocs = 2,
+                                  .hosts = runtime::loopback_host_list(2, base_port),
+                                  .workers = 1,
+                                  .seed = 1,
+                                  .connect_timeout_ms = 10'000}),
         rt(be.transport(), be.exec(), cfg) {
     runtime::Actor* a0 = rank == 0 ? rt.wrap(&sink) : rt.wrap(&null_);
     runtime::Actor* a1 = rank == 1 ? rt.wrap(&sink) : rt.wrap(&null_);

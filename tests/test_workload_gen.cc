@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "runtime/endpoint.h"
 #include "workload/experiment.h"
 #include "workload/keydist.h"
 #include "workload/openloop.h"
@@ -233,7 +234,7 @@ ExperimentConfig digest_config(runtime::Kind rt, std::uint16_t base_port) {
   cfg.check_consistency = true;
   if (rt == runtime::Kind::kSockets) {
     cfg.socket.processes = 3;
-    cfg.socket.base_port = base_port;
+    cfg.socket.hosts = runtime::loopback_host_list(3, base_port);
   }
   return cfg;
 }

@@ -45,9 +45,6 @@ BENCH_realtime_socket.json) are guarded too:
     for) are guarded DOWNWARD like a throughput floor — an engine that
     silently falls behind its own schedule fails even when raw goodput
     still looks plausible. The metric vanishing also fails.
-  * baseline rows marked "optional": true (e.g. sockets_uring, which only
-    exists on kernels with io_uring) may be missing from the current run —
-    skipped with a notice instead of failing.
 
 Self-check mode: `bench_guard.py --json-schema FILE...` validates committed
 bench documents instead of comparing two runs — every numeric field must be
@@ -152,9 +149,6 @@ def main():
     for name, b in sorted(base.items()):
         c = cur.get(name)
         if c is None:
-            if b.get("optional"):
-                print(f"  {name:<34} (optional row absent from current run; skipped)")
-                continue
             failures.append(f"{name}: missing from current run")
             continue
         tol = args.tolerance

@@ -28,7 +28,7 @@
 #include "placement/placement.h"
 #include "scenario/scenario.h"
 #include "workload/experiment.h"
-#include "runtime/socket_runtime.h"
+#include "runtime/endpoint.h"
 #include "workload/socket_runner.h"
 
 using namespace paris;
@@ -50,10 +50,7 @@ namespace {
       "  --hosts=H1:P1,H2:P2,... sockets: explicit listen endpoint per rank\n"
       "                          (one entry per process, in rank order); this\n"
       "                          is how a cluster spans hosts or distinct\n"
-      "                          loopback IPs\n"
-      "  --listen-base-port=P    sockets: DEPRECATED alias for\n"
-      "                          --hosts=127.0.0.1:P,127.0.0.1:P+1,...\n"
-      "                          (default 7421 when --hosts is absent)\n"
+      "                          loopback IPs (default 127.0.0.1:7421+rank)\n"
       "  --join-rank=R:MS        elastic membership: the DCs owned by rank R\n"
       "                          start OUTSIDE the replica sets and join MS ms\n"
       "                          into the run (snapshot + catch-up from a\n"
@@ -74,20 +71,10 @@ namespace {
       "  --kill-rank=R:MS        sockets: SIGKILL rank R once MS ms of the\n"
       "                          supervised run have elapsed (fault schedule;\n"
       "                          requires --supervise)\n"
-      "  --socket-pump=poll|uring\n"
-      "                          sockets: I/O engine for the per-process pump\n"
-      "                          thread. uring probes io_uring at startup and\n"
-      "                          falls back to poll with a notice if the\n"
-      "                          kernel lacks it (default poll)\n"
       "  --socket-outbound-kb=K  sockets: per-peer outbound ring budget in\n"
-      "                          KiB; a full ring backpressures senders\n"
-      "                          (parked envelopes, not loss). 0 = unbounded\n"
+      "                          KiB (K >= 1); a full ring backpressures\n"
+      "                          senders (parked envelopes, not loss)\n"
       "                          (default 4096)\n"
-      "  --socket-unbatched      sockets: one frame per write syscall + 4KB\n"
-      "                          reads (the pre-batching I/O pattern, kept\n"
-      "                          for A/B measurement)\n"
-      "  --probe-io-uring        print whether io_uring is usable on this\n"
-      "                          kernel and exit (0 = yes, 3 = no)\n"
       "  --latency-model=none|matrix|jitter\n"
       "                          threads/sockets: inject per-DC-pair WAN\n"
       "                          delay (matrix), plus jitter (default none;\n"
@@ -193,7 +180,6 @@ namespace {
       "                          ms into the run (0 = never; default 0)\n"
       "  --warmup-ms=W           warmup (default 300)\n"
       "  --measure-ms=M          measurement window (default 1000)\n"
-      "  --duration-ms=D         alias for --measure-ms\n"
       "  --seed=S                RNG seed (default 42)\n"
       "  --uniform-latency       uniform 40ms WAN instead of the AWS matrix\n"
       "  --visibility            measure update visibility latency\n"
@@ -230,10 +216,7 @@ int main(int argc, char** argv) {
   bool sessions_set = false;
   bool profile_set = false;
   bool sack_flag_set = false;
-  bool socket_pump_set = false;
   bool socket_budget_set = false;
-  bool socket_batch_set = false;
-  bool probe_uring = false;
   bool scenario_seed_set = false;
   std::uint64_t scenario_seed = 0;
   std::string scenario_file;
@@ -263,14 +246,6 @@ int main(int argc, char** argv) {
       cfg.worker_threads = static_cast<std::uint32_t>(std::atoi(v));
     } else if (parse_flag(argv[i], "--processes", &v) && v) {
       cfg.socket.processes = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (parse_flag(argv[i], "--listen-base-port", &v) && v) {
-      const long port = std::atol(v);
-      if (port <= 0 || port > 65000) {
-        std::fprintf(stderr, "error: --listen-base-port must be in [1, 65000], got '%s'\n",
-                     v);
-        return 2;
-      }
-      cfg.socket.base_port = static_cast<std::uint16_t>(port);
     } else if (parse_flag(argv[i], "--hosts", &v) && v) {
       std::string host_err;
       if (!runtime::parse_host_list(v, &cfg.socket.hosts, &host_err)) {
@@ -310,29 +285,14 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: --kill-rank rank must be >= 0, got '%s'\n", v);
         return 2;
       }
-    } else if (parse_flag(argv[i], "--socket-pump", &v) && v) {
-      if (std::string(v) == "poll") {
-        cfg.socket.pump = runtime::SocketPump::kPoll;
-      } else if (std::string(v) == "uring") {
-        cfg.socket.pump = runtime::SocketPump::kUring;
-      } else {
-        std::fprintf(stderr, "error: --socket-pump takes poll|uring, got '%s'\n", v);
-        return 2;
-      }
-      socket_pump_set = true;
     } else if (parse_flag(argv[i], "--socket-outbound-kb", &v) && v) {
       const long long kb = std::atoll(v);
-      if (kb < 0) {
-        std::fprintf(stderr, "error: --socket-outbound-kb must be >= 0, got '%s'\n", v);
+      if (kb < 1) {
+        std::fprintf(stderr, "error: --socket-outbound-kb must be >= 1, got '%s'\n", v);
         return 2;
       }
       cfg.socket.outbound_budget = static_cast<std::uint64_t>(kb) * 1024;
       socket_budget_set = true;
-    } else if (parse_flag(argv[i], "--socket-unbatched", &v)) {
-      cfg.socket.batch_io = false;
-      socket_batch_set = true;
-    } else if (parse_flag(argv[i], "--probe-io-uring", &v)) {
-      probe_uring = true;
     } else if (parse_flag(argv[i], "--latency-model", &v) && v) {
       if (std::string(v) == "none") {
         cfg.latency_model = runtime::LatencyModelKind::kNone;
@@ -474,8 +434,6 @@ int main(int argc, char** argv) {
       cfg.warmup_us = static_cast<sim::SimTime>(std::atoll(v)) * 1000;
     } else if (parse_flag(argv[i], "--measure-ms", &v) && v) {
       cfg.measure_us = static_cast<sim::SimTime>(std::atoll(v)) * 1000;
-    } else if (parse_flag(argv[i], "--duration-ms", &v) && v) {
-      cfg.measure_us = static_cast<sim::SimTime>(std::atoll(v)) * 1000;
     } else if (parse_flag(argv[i], "--seed", &v) && v) {
       cfg.seed = std::strtoull(v, nullptr, 10);
     } else if (parse_flag(argv[i], "--uniform-latency", &v)) {
@@ -491,16 +449,6 @@ int main(int argc, char** argv) {
     } else {
       usage(argv[0]);
     }
-  }
-
-  if (probe_uring) {
-    std::string why;
-    if (runtime::SocketBackend::probe_io_uring(&why)) {
-      std::printf("io_uring: available\n");
-      return 0;
-    }
-    std::printf("io_uring: unavailable (%s)\n", why.c_str());
-    return 3;
   }
 
   // Scenario resolution: generate from seed (cell picked by --system/
@@ -569,12 +517,10 @@ int main(int argc, char** argv) {
   }
   if (cfg.runtime != runtime::Kind::kSockets &&
       (cfg.socket.processes != 0 || !cfg.socket.dir.empty() || cfg.socket.supervise ||
-       cfg.socket.kill_rank >= 0 || socket_pump_set || socket_budget_set ||
-       socket_batch_set)) {
+       cfg.socket.kill_rank >= 0 || socket_budget_set)) {
     std::fprintf(stderr,
                  "error: --processes/--socket-dir/--supervise/--kill-rank/"
-                 "--socket-pump/--socket-outbound-kb/--socket-unbatched require "
-                 "--runtime=sockets\n");
+                 "--socket-outbound-kb require --runtime=sockets\n");
     return 2;
   }
   if (cfg.socket.kill_rank >= 0 && !cfg.socket.supervise) {
@@ -708,19 +654,11 @@ int main(int argc, char** argv) {
                   std::thread::hardware_concurrency(),
                   runtime::latency_model_name(cfg.latency_model));
     } else {
-      const std::uint32_t nprocs = cfg.socket.resolve_processes(cfg.num_dcs);
-      const std::vector<runtime::Endpoint> hosts =
-          cfg.socket.hosts.empty()
-              ? runtime::loopback_host_list(nprocs, cfg.socket.base_port)
-              : cfg.socket.hosts;
       std::printf(
-          "runtime: sockets, %u processes on %s (hw concurrency %u), "
-          "latency model %s, pump %s%s, outbound budget %llu KiB\n",
-          nprocs, runtime::format_host_list(hosts).c_str(),
-          std::thread::hardware_concurrency(),
+          "runtime: sockets, %u processes (hw concurrency %u), latency model %s, "
+          "outbound budget %llu KiB\n",
+          cfg.socket.resolve_processes(cfg.num_dcs), std::thread::hardware_concurrency(),
           runtime::latency_model_name(cfg.latency_model),
-          runtime::socket_pump_name(cfg.socket.pump),
-          cfg.socket.batch_io ? "" : " (unbatched)",
           static_cast<unsigned long long>(cfg.socket.outbound_budget / 1024));
       if (cfg.socket.supervise) {
         std::printf("supervise: respawn budget %u", cfg.socket.max_respawns);
@@ -884,7 +822,7 @@ int main(int argc, char** argv) {
                 stats::with_commas(res.socket.short_writes).c_str(),
                 stats::with_commas(res.socket.reconnects).c_str());
     std::printf("socket io       %10s syscalls (%.2f/frame, %s bytes/syscall), "
-                "%s flushes, %s backpressure stalls%s%s\n",
+                "%s flushes, %s backpressure stalls%s\n",
                 stats::with_commas(res.socket.read_syscalls +
                                    res.socket.write_syscalls).c_str(),
                 res.socket.syscalls_per_frame(),
@@ -892,8 +830,7 @@ int main(int argc, char** argv) {
                     static_cast<std::uint64_t>(res.socket.bytes_per_syscall())).c_str(),
                 stats::with_commas(res.socket.flushes).c_str(),
                 stats::with_commas(res.socket.backpressure_stalls).c_str(),
-                res.socket.backpressure_drops != 0 ? " (some shed)" : "",
-                res.socket.uring_fallback != 0 ? ", uring->poll fallback" : "");
+                res.socket.backpressure_drops != 0 ? " (some shed)" : "");
     if (cfg.socket.supervise) {
       std::printf("self-healing    %10s respawns, %s snapshots / %s catchups served, "
                   "%s prepared fenced, %s stale-epoch fenced, %s redials\n",

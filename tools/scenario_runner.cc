@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "runtime/endpoint.h"
 #include "scenario/scenario.h"
 #include "workload/socket_runner.h"
 
@@ -66,7 +67,10 @@ constexpr std::uint64_t kDefaultTimeScale = 1;
       "  --print                 print each schedule before running it\n"
       "  --time-scale=K          stretch all schedule windows by K (default %llu;\n"
       "                          sanitizer builds auto-scale)\n"
-      "  --listen-base-port=P    sockets: child base port (default 7800)\n"
+      "  --listen-base-port=P    sockets: this runner's own port block; each\n"
+      "                          scenario's N ranks listen on 127.0.0.1:P..P+N-1\n"
+      "                          (default 7800; paris_sim has no such flag,\n"
+      "                          it takes --hosts)\n"
       "  --socket-dir=PATH       sockets: per-child logs + results (default:\n"
       "                          fresh temp dirs)\n"
       "  --help                  this text\n",
@@ -110,13 +114,16 @@ struct RunOutcome {
 };
 
 /// One full experiment for the scenario; socket fields the scenario does not
-/// own (port, artifact dir) come from the runner options.
+/// own (host list, artifact dir) come from the runner options. The host list
+/// is expanded here, after apply_scenario, because each scenario picks its
+/// own process count.
 RunOutcome run_scenario(const scenario::Scenario& s, const RunnerOptions& opt,
                         const char* tag) {
   workload::ExperimentConfig cfg;
   scenario::apply_scenario(s, cfg);
   if (s.runtime == runtime::Kind::kSockets) {
-    cfg.socket.base_port = opt.base_port;
+    cfg.socket.hosts = runtime::loopback_host_list(
+        cfg.socket.resolve_processes(cfg.num_dcs), opt.base_port);
     if (!opt.socket_dir.empty()) {
       cfg.socket.dir = opt.socket_dir + "/" + tag;
     }

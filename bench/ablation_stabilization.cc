@@ -31,7 +31,9 @@ int main() {
                 static_cast<unsigned long long>(res.gossip_msgs), res.max_client_cache);
     std::fflush(stdout);
   }
-  std::printf("\nExpectation: visibility latency grows roughly linearly with Δ while\n"
-              "throughput stays flat — the UST gossip is off the critical path.\n");
+  std::printf("\nExpectation: visibility latency grows by about one Δ per Δ (a leaf round\n"
+              "plus the ΔU throttle; rounds are forwarded up the tree on arrival, so\n"
+              "tree depth adds no Δ), gossip messages fall as 1/Δ, and throughput\n"
+              "stays flat — the UST gossip is off the critical path.\n");
   return 0;
 }

@@ -139,11 +139,11 @@ int main() {
     const auto& r = rows[i];
     std::fprintf(
         f,
-        "    {\"system\": \"%s\", \"runtime\": \"%s\", \"loop_mode\": \"%s\", "
-        "\"multi_dc_ratio\": %.2f, "
+        "    {\"name\": \"%s\", \"system\": \"%s\", \"runtime\": \"%s\", "
+        "\"loop_mode\": \"%s\", \"multi_dc_ratio\": %.2f, "
         "\"throughput_tx_s\": %.1f, \"lat_p50_ms\": %.3f, \"lat_p99_ms\": %.3f, "
         "\"vis_p50_ms\": %.3f, \"vis_p99_ms\": %.3f, \"committed\": %llu}%s\n",
-        r.system, r.runtime, loop_mode(latency_config(System::kParis, runtime::Kind::kSim)),
+        r.label.c_str(), r.system, r.runtime, loop_mode(latency_config(System::kParis, runtime::Kind::kSim)),
         r.multi_ratio, r.result.throughput_tx_s,
         r.result.latency_us.p50 / 1000.0, r.result.latency_us.p99 / 1000.0,
         r.result.visibility_hist.percentile(0.5) / 1000.0,

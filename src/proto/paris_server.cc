@@ -31,6 +31,7 @@ void ParisServer::resolve_tree_nodes() {
   }
   child_min_.assign(child_nodes_.size(), kTsZero);
   child_oldest_.assign(child_nodes_.size(), kTsZero);
+  child_reported_.assign(child_nodes_.size(), false);
   if (tree_.is_root(local_idx_)) {
     dc_roots_.assign(rt_.topo.num_dcs(), kInvalidNode);
     for (DcId d = 0; d < rt_.topo.num_dcs(); ++d) {
@@ -44,11 +45,15 @@ void ParisServer::resolve_tree_nodes() {
 void ParisServer::start_timers(Rng& phase_rng) {
   ServerBase::start_timers(phase_rng);
   resolve_tree_nodes();
-  gst_timer_ = rt_.exec.every(self_, rt_.cfg.delta_g_us, phase_rng.next_below(rt_.cfg.delta_g_us),
-                              [this] { gst_tick(); });
-  if (tree_.is_root(local_idx_)) {
-    ust_timer_ = rt_.exec.every(self_, rt_.cfg.delta_u_us,
-                                phase_rng.next_below(rt_.cfg.delta_u_us), [this] { ust_tick(); });
+  // Every node draws a ΔG phase and every root a ΔU phase, though only
+  // leaves arm a timer: the draw sequence depends on the node's role alone,
+  // so the phases handed to later servers' timers stay where they are.
+  const std::uint64_t gst_phase = phase_rng.next_below(rt_.cfg.delta_g_us);
+  if (tree_.is_root(local_idx_)) (void)phase_rng.next_below(rt_.cfg.delta_u_us);
+  // Leaves clock the rounds; every other node forwards on its children's
+  // reports (handle_gossip_up).
+  if (child_nodes_.empty()) {
+    gst_timer_ = rt_.exec.every(self_, rt_.cfg.delta_g_us, gst_phase, [this] { gst_tick(); });
   }
 }
 
@@ -136,6 +141,8 @@ void ParisServer::gst_tick() {
     sub_min = std::min(sub_min, child_min_[i]);
     sub_oldest = std::min(sub_oldest, child_oldest_[i]);
   }
+  // A new round starts: wait for every child to report again.
+  std::fill(child_reported_.begin(), child_reported_.end(), false);
 
   if (!tree_.is_root(local_idx_)) {
     auto up = make_msg<GossipUp>();
@@ -161,27 +168,32 @@ void ParisServer::gst_tick() {
     send(dc_roots_[d], root_shared);
     ++stats_.gossip_msgs_sent;
   }
+  recompute_ust();
 }
 
 void ParisServer::handle_gossip_up(NodeId from, const GossipUp& m) {
   resolve_tree_nodes();
   const auto it = child_slot_.find(from);
   PARIS_CHECK_MSG(it != child_slot_.end(), "gossip-up from non-child");
-  child_min_[it->second] = std::max(child_min_[it->second], m.min_vv);
-  child_oldest_[it->second] = m.oldest_active;
+  const std::size_t i = it->second;
+  child_min_[i] = std::max(child_min_[i], m.min_vv);
+  child_oldest_[i] = m.oldest_active;
+  child_reported_[i] = true;
+  // The slowest child closes the round: forward at once instead of waiting
+  // for a timer of this node's own.
+  if (std::all_of(child_reported_.begin(), child_reported_.end(), [](bool r) { return r; }))
+    gst_tick();
 }
 
 void ParisServer::handle_gossip_root(NodeId /*from*/, const GossipRoot& m) {
   PARIS_CHECK_MSG(tree_.is_root(local_idx_), "root exchange received by non-root");
   gsv_[m.dc] = std::max(gsv_[m.dc], m.gst);
   oldest_by_dc_[m.dc] = m.oldest_active;
+  recompute_ust();
 }
 
-void ParisServer::ust_tick() {
-  if (rt_.net.node_paused(self_)) return;
+void ParisServer::recompute_ust() {
   resolve_tree_nodes();
-  rt_.net.charge_cpu(self_, rt_.cost.gossip_us);
-
   // The UST is the aggregate minimum of the currently-active DCs' GSTs; it
   // is 0 (no stable snapshot yet) until each of them has reported at least
   // once — which also freezes the UST across a join until the new DC's root
@@ -200,7 +212,32 @@ void ParisServer::ust_tick() {
   set_ust(std::max(ust_, candidate));
   // GC below both every DC's oldest active snapshot and the UST itself.
   gc_watermark_ = std::max(gc_watermark_, std::min(oldest, ust_));
+  schedule_ust_down();
+}
 
+void ParisServer::schedule_ust_down() {
+  if (down_pending_) return;  // the armed task sends the then-current UST
+  const std::uint64_t now = rt_.exec.now_us();
+  if (now >= next_down_us_) {
+    send_ust_down();
+    return;
+  }
+  if (!advanced_since_down()) return;
+  down_pending_ = true;
+  rt_.exec.defer_at(self_, next_down_us_, [this] {
+    down_pending_ = false;
+    if (!rt_.net.node_paused(self_)) send_ust_down();
+  });
+}
+
+void ParisServer::send_ust_down() {
+  if (child_nodes_.empty() || !advanced_since_down()) return;
+  if (tree_.is_root(local_idx_)) {
+    rt_.net.charge_cpu(self_, rt_.cost.gossip_us);
+    next_down_us_ = rt_.exec.now_us() + rt_.cfg.delta_u_us;
+  }
+  down_ust_ = ust_;
+  down_gc_ = gc_watermark_;
   auto down = make_msg<UstDown>();
   down->ust = ust_;
   down->gc_watermark = gc_watermark_;
@@ -215,14 +252,7 @@ void ParisServer::handle_ust_down(NodeId /*from*/, const UstDown& m) {
   resolve_tree_nodes();
   set_ust(std::max(ust_, m.ust));
   gc_watermark_ = std::max(gc_watermark_, m.gc_watermark);
-  auto down = make_msg<UstDown>();
-  down->ust = ust_;
-  down->gc_watermark = gc_watermark_;
-  const wire::MessagePtr down_shared = std::move(down);
-  for (NodeId child : child_nodes_) {
-    send(child, down_shared);
-    ++stats_.gossip_msgs_sent;
-  }
+  send_ust_down();  // forwards only what advanced: counts stay flat down the tree
 }
 
 }  // namespace paris::proto

@@ -12,9 +12,13 @@
 //  * servers participate in the two-level stabilization gossip (Alg. 4
 //    lines 34-38): a per-DC aggregation tree computes the DC's Global
 //    Stable Time (GST = min over local servers of min(VV)); DC roots
-//    exchange GSTs; every ΔU the root takes the global minimum as the UST
-//    and disseminates it down the tree. The same gossip aggregates the
-//    oldest active snapshot to drive storage GC (§IV-B).
+//    exchange GSTs; each root takes the global minimum as the UST and
+//    disseminates it down the tree. The gossip is pipelined (DESIGN §4):
+//    only leaves run the ΔG timer, every other node forwards as soon as
+//    all its children have reported, a root recomputes the UST whenever a
+//    GST arrives, and an advanced UST goes down at most once per ΔU. The
+//    same gossip aggregates the oldest active snapshot to drive storage GC
+//    (§IV-B).
 
 #include <queue>
 
@@ -58,8 +62,19 @@ class ParisServer : public ServerBase {
 
  private:
   void resolve_tree_nodes();
-  void gst_tick();  ///< every ΔG: aggregate minima up the tree / across roots
-  void ust_tick();  ///< every ΔU (root only): UST = min of GSTs, disseminate
+  /// One stabilization round at this node: aggregate the subtree minima and
+  /// send them up the tree (or, at a root, to the other DC roots). Driven by
+  /// the ΔG timer at leaves and by the last child's report elsewhere.
+  void gst_tick();
+  /// Root only: UST and GC watermark = minima over the active DCs' reports.
+  void recompute_ust();
+  /// Root only: disseminate an advanced UST now, or once ΔU after the last
+  /// dissemination through one pending one-shot task.
+  void schedule_ust_down();
+  /// Sends the current UST and GC watermark to the children if either
+  /// advanced past what they were last sent.
+  void send_ust_down();
+  bool advanced_since_down() const { return ust_ > down_ust_ || gc_watermark_ > down_gc_; }
   void set_ust(Timestamp t);
 
   Timestamp ust_;
@@ -73,7 +88,16 @@ class ParisServer : public ServerBase {
   std::unordered_map<NodeId, std::size_t> child_slot_;
   std::vector<Timestamp> child_min_;     ///< last GossipUp.min_vv per child
   std::vector<Timestamp> child_oldest_;  ///< last GossipUp.oldest_active per child
+  std::vector<bool> child_reported_;     ///< child reported since this node's last round
   bool tree_resolved_ = false;
+
+  // Last UST / GC watermark sent down to the children.
+  Timestamp down_ust_;
+  Timestamp down_gc_;
+  // Root-only ΔU throttle: earliest time of the next UstDown, and whether a
+  // one-shot task is already armed for it.
+  std::uint64_t next_down_us_ = 0;
+  bool down_pending_ = false;
 
   // Root-only state: last GST / oldest-active reported per DC.
   std::vector<Timestamp> gsv_;
@@ -85,8 +109,7 @@ class ParisServer : public ServerBase {
   using VisEntry = std::pair<Timestamp, TxId>;
   std::priority_queue<VisEntry, std::vector<VisEntry>, std::greater<>> pending_visibility_;
 
-  runtime::TimerHandle gst_timer_;
-  runtime::TimerHandle ust_timer_;
+  runtime::TimerHandle gst_timer_;  ///< leaves only: the round clock
 };
 
 }  // namespace paris::proto

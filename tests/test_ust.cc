@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "proto/paris_server.h"
 #include "test_util.h"
 
@@ -196,6 +198,98 @@ TEST(Ust, ReadSliceSnapshotAlwaysLocallyInstalled) {
   EXPECT_GT(tracer.slices, 0);
   EXPECT_EQ(tracer.violations, 0)
       << "a PaRiS snapshot reached a replica that had not installed it";
+}
+
+// Pipelined stabilization (DESIGN §4): on a LAN the UST trails real time by
+// a leaf round, the root exchange and the ΔU throttle, not by a ΔG wait at
+// every tree level plus a ΔU wait at the root. 3 DCs x 4 servers, 200 µs
+// between DCs, ΔG = ΔU = 5 ms, 300 samples of every server's lag after
+// settling. Rounds forwarded on arrival: mean 10.7 ms, max 15.3 ms. A ΔG
+// timer at every node plus a ΔU timer at each root: mean 13.7 ms, max
+// 16.3 ms. In both designs the worst case adds up a stale leaf report, a
+// whole round's age of the slowest DC's GST and a ΔU wait, so only the
+// mean separates them; the max bound keeps that worst case under three and
+// a half rounds.
+TEST(Ust, LagWithinOneLeafRoundOnLan) {
+  Deployment dep(small_config(System::kParis, 3, 6, 2, /*seed=*/1, /*inter_dc_us=*/200));
+  dep.start();
+  settle(dep);
+  const auto& cfg = dep.config().protocol;
+  std::int64_t max_lag = 0;
+  std::int64_t sum_lag = 0;
+  std::int64_t samples = 0;
+  for (int i = 0; i < 300; ++i) {
+    dep.run_for(1'000);
+    const auto now = static_cast<std::int64_t>(sim_of(dep).now());
+    for (auto* s : paris_servers(dep)) {
+      const std::int64_t lag = now - static_cast<std::int64_t>(s->ust().physical_us());
+      max_lag = std::max(max_lag, lag);
+      sum_lag += lag;
+      ++samples;
+    }
+  }
+  const auto round = static_cast<std::int64_t>(cfg.delta_g_us);
+  EXPECT_LT(sum_lag / samples, 12'000) << "mean UST lag on a LAN";
+  EXPECT_LT(max_lag, 3 * round + round / 2) << "worst UST lag on a LAN";
+}
+
+// Forwarding on arrival adds no messages: per ΔG each DC sends at most
+// (n-1) GossipUp and (D-1) GossipRoot, and per ΔU at most (n-1) UstDown.
+TEST(Ust, GossipMessagesDoNotGrow) {
+  Deployment dep(small_config(System::kParis, 3, 6, 2));
+  dep.start();
+  settle(dep);
+  const auto before = dep.total_server_stats().gossip_msgs_sent;
+  const sim::SimTime window_us = 1'000'000;
+  dep.run_for(window_us);
+  const auto sent = dep.total_server_stats().gossip_msgs_sent - before;
+
+  const auto& cfg = dep.config().protocol;
+  const std::uint64_t rounds = window_us / cfg.delta_g_us + 1;
+  const std::uint64_t downs = window_us / cfg.delta_u_us + 1;
+  const std::uint64_t dcs = dep.topo().num_dcs();
+  std::uint64_t bound = 0;
+  for (DcId d = 0; d < dcs; ++d) {
+    const std::uint64_t n = dep.topo().servers_per_dc(d);
+    bound += ((n - 1) + (dcs - 1)) * rounds + (n - 1) * downs;
+  }
+  EXPECT_LE(sent, bound);
+  EXPECT_GT(sent, bound / 2) << "the stabilization gossip went quiet on an idle cluster";
+}
+
+// A silent leaf must hold back its whole DC's GST, hence the UST everywhere
+// (safety: its min(VV) is unknown); once it reports again, the rounds it
+// was blocking complete on arrival, with no fallback timer elsewhere.
+TEST(Ust, SilentLeafFreezesThenResumes) {
+  Deployment dep(small_config(System::kParis, 3, 6, 2, /*seed=*/5, /*inter_dc_us=*/200));
+  dep.start();
+  settle(dep);
+  const auto& locals = dep.topo().partitions_at(1);
+  auto* leaf = dep.paris_server(1, locals.back());  // the last heap slot is a leaf
+  ASSERT_NE(leaf, nullptr);
+  ASSERT_FALSE(leaf->is_gossip_root());
+
+  net_of(dep).pause_node(leaf->node());
+  dep.run_for(50'000);  // rounds already past the leaf drain
+  std::vector<Timestamp> frozen;
+  for (auto* s : paris_servers(dep)) frozen.push_back(s->ust());
+  dep.run_for(300'000);
+  auto servers = paris_servers(dep);
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    if (servers[i] == leaf) continue;
+    EXPECT_EQ(servers[i]->ust(), frozen[i])
+        << "UST advanced past a silent leaf at dc=" << servers[i]->dc()
+        << " p=" << servers[i]->partition();
+  }
+
+  net_of(dep).resume_node(leaf->node());
+  const auto& cfg = dep.config().protocol;
+  dep.run_for(2 * cfg.delta_g_us);
+  for (std::size_t i = 0; i < servers.size(); ++i) {
+    EXPECT_GT(servers[i]->ust(), frozen[i])
+        << "UST still frozen two rounds after the leaf resumed at dc=" << servers[i]->dc()
+        << " p=" << servers[i]->partition();
+  }
 }
 
 }  // namespace

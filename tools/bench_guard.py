@@ -23,8 +23,8 @@ Rules (per row, matched by benchmark name):
 
 Realtime-bench documents (a top-level "rows" array, e.g.
 BENCH_realtime_socket.json) are guarded too:
-  * throughput rows carry "goodput_tx_s" instead of "ops_per_sec"; the same
-    floor applies.
+  * throughput rows carry "goodput_tx_s" (or "throughput_tx_s") instead of
+    "ops_per_sec"; the same floor applies.
   * rows with a nonzero "retransmits_per_drop" (the SACK-efficiency
     headline: retransmissions per chaos-dropped frame) are guarded
     UPWARD — current must stay under baseline * (1 + --retx-tolerance).
@@ -40,6 +40,13 @@ BENCH_realtime_socket.json) are guarded too:
     open-loop intended latency charges in full — so a mode mismatch (or a
     mode that silently disappears from the current run) fails outright, it
     is never a tolerance question.
+  * rows with a nonzero "vis_p50_ms" (update visibility: how long a
+    committed write takes to become readable everywhere, e.g.
+    BENCH_realtime_latency.json) are guarded UPWARD like the syscall rule
+    — current must stay under baseline * (1 + --tolerance). PaRiS pays
+    for non-blocking reads in exactly this metric, and a slower
+    stabilization gossip moves neither throughput nor transaction
+    latency.
   * rows with a nonzero "achieved_intended_ratio" (open-loop health: the
     rate the system completed over the rate the arrival schedule asked
     for) are guarded DOWNWARD like a throughput floor — an engine that
@@ -75,8 +82,9 @@ def load_rows(path):
     out = {}
     for r in rows:
         r = dict(r)
-        if "ops_per_sec" not in r and "goodput_tx_s" in r:
-            r["ops_per_sec"] = r["goodput_tx_s"]
+        for rate in ("goodput_tx_s", "throughput_tx_s"):
+            if "ops_per_sec" not in r and rate in r:
+                r["ops_per_sec"] = r[rate]
         out[r["name"]] = r
     return out
 
@@ -240,6 +248,22 @@ def main():
                     "regressed toward one syscall per frame"
                 )
                 status = "SYSCALL BATCHING REGRESSION"
+        if b.get("vis_p50_ms", 0.0) > 0.0:
+            ceiling = b["vis_p50_ms"] * (1.0 + args.tolerance)
+            vis = c.get("vis_p50_ms")
+            if vis is None:
+                failures.append(
+                    f"{name}: vis_p50_ms missing from the current run "
+                    "(guarded metrics may not silently disappear)"
+                )
+                status = "VISIBILITY METRIC MISSING"
+            elif vis > ceiling:
+                failures.append(
+                    f"{name}: vis_p50_ms {vis:.2f} exceeds {ceiling:.2f} "
+                    f"(baseline {b['vis_p50_ms']:.2f} + {args.tolerance:.0%}) "
+                    "— updates take longer to become visible"
+                )
+                status = "VISIBILITY REGRESSION"
         print(f"  {name:<34} {ratio:6.2f}x  "
               f"allocs {b.get('allocs_per_op', 0):.3f} -> {c.get('allocs_per_op', 0):.3f}  {status}")
 

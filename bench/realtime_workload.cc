@@ -1,7 +1,7 @@
-// realtime_workload — the open-loop engine and workload-aware placement as
-// committed, guarded artifacts (DESIGN §14).
+// realtime_workload — the open-loop engine as a committed, guarded artifact
+// (DESIGN §14).
 //
-// Three rows, all OPEN loop (every other realtime bench is closed loop; the
+// Two rows, both OPEN loop (every other realtime bench is closed loop; the
 // loop_mode field keeps bench_guard from ever comparing across that line):
 //
 //  * openloop_zipf_threads  — Poisson arrivals over Zipf(0.99) keys on the
@@ -12,11 +12,6 @@
 //    time).
 //  * openloop_zipf_sockets  — the identical schedule against 3 real
 //    processes over TCP loopback.
-//  * placement_migration    — hot-spot skew accessed from every DC with the
-//    workload-aware placement brain migrating the 10 hottest keys mid-run.
-//    Emits the before/after assignment scores (replicate_factor, load
-//    relative stddev) so the payoff is a committed number, plus the chain
-//    accounting the checkers vouch for.
 //
 // The guard rules wired to this document: goodput floor (goodput_tx_s),
 // achieved/intended ratio floor (achieved_intended_ratio — a scheduler that
@@ -31,7 +26,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "placement/placement.h"
 #include "runtime/endpoint.h"
 #include "workload/socket_runner.h"
 
@@ -67,21 +61,6 @@ ExperimentConfig openloop_config(runtime::Kind kind) {
   return cfg;
 }
 
-ExperimentConfig migration_config() {
-  auto cfg = openloop_config(runtime::Kind::kThreads);
-  // Hot-spot skew accessed from every DC: each hot key has a strictly
-  // better home, so all top-k moves are real migrations under load.
-  cfg.workload.key_dist = workload::KeyDistKind::kHotspot;
-  cfg.workload.multi_dc_ratio = 1.0;
-  cfg.openloop.arrival_rate = 2500;
-  cfg.protocol.placement_policy =
-      static_cast<std::uint8_t>(placement::Policy::kWorkloadAware);
-  cfg.protocol.migrate_top_k = 10;
-  cfg.protocol.migrate_at_us = 400'000;
-  cfg.measure_us = fast_mode() ? 2'200'000 : 5'000'000;
-  return cfg;
-}
-
 struct Row {
   std::string name;
   const char* loop;
@@ -113,24 +92,13 @@ int main(int argc, char** argv) {
   workload::maybe_run_socket_child(argc, argv);
 
   const unsigned hw = std::thread::hardware_concurrency();
-  print_title("realtime_workload — open-loop engine + workload-aware placement",
+  print_title("realtime_workload — open-loop engine",
               "PaRiS, 3 DCs / 6 partitions / R=2, Poisson arrivals, CO-safe "
-              "latency; migration row moves the 10 hottest keys mid-run "
-              "(hw concurrency " + std::to_string(hw) + ")");
+              "latency (hw concurrency " + std::to_string(hw) + ")");
 
   std::vector<Row> rows;
   rows.push_back(run_row("openloop_zipf_threads", openloop_config(runtime::Kind::kThreads)));
   rows.push_back(run_row("openloop_zipf_sockets", openloop_config(runtime::Kind::kSockets)));
-  rows.push_back(run_row("placement_migration", migration_config()));
-
-  const auto& mig = rows.back().result;
-  std::printf("\nplacement: replicate_factor %.3f -> %.3f, load rel-stddev "
-              "%.3f -> %.3f, %llu keys moved (%llu chains shipped / %llu installed)\n",
-              mig.replicate_factor_before, mig.replicate_factor_after,
-              mig.load_rel_stddev_before, mig.load_rel_stddev_after,
-              static_cast<unsigned long long>(mig.keys_migrated),
-              static_cast<unsigned long long>(mig.migrate_chains_sent),
-              static_cast<unsigned long long>(mig.migrate_chains_installed));
 
   bool clean = true;
   for (const auto& r : rows) {
@@ -154,9 +122,7 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"cluster\": {\"dcs\": 3, \"partitions\": 6, \"replication\": 2, "
                   "\"keys_per_partition\": 1000, \"openloop_rows\": "
                   "{\"key_dist\": \"zipf_rejection\", \"theta\": 0.99, "
-                  "\"arrival_tx_s\": 3000}, \"migration_row\": "
-                  "{\"key_dist\": \"hotspot\", \"migrate_top_k\": 10, "
-                  "\"arrival_tx_s\": 2500}},\n");
+                  "\"arrival_tx_s\": 3000}},\n");
   std::fprintf(f, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
@@ -180,20 +146,6 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(res.overdue),
         static_cast<unsigned long long>(res.max_backlog),
         static_cast<unsigned long long>(res.committed), res.violations.size());
-    if (res.keys_migrated > 0 || res.sketch_reports > 0) {
-      std::fprintf(
-          f,
-          ", \"replicate_factor_before\": %.4f, \"replicate_factor_after\": %.4f, "
-          "\"load_rel_stddev_before\": %.4f, \"load_rel_stddev_after\": %.4f, "
-          "\"keys_migrated\": %llu, \"migrate_chains_sent\": %llu, "
-          "\"migrate_chains_installed\": %llu, \"sketch_reports\": %llu",
-          res.replicate_factor_before, res.replicate_factor_after,
-          res.load_rel_stddev_before, res.load_rel_stddev_after,
-          static_cast<unsigned long long>(res.keys_migrated),
-          static_cast<unsigned long long>(res.migrate_chains_sent),
-          static_cast<unsigned long long>(res.migrate_chains_installed),
-          static_cast<unsigned long long>(res.sketch_reports));
-    }
     std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");

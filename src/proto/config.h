@@ -68,24 +68,6 @@ struct ProtocolConfig {
   /// clients) are reaped in the background after this timeout (§III-C
   /// "client failures are transparent to the system").
   sim::SimTime tx_context_timeout_us = 10'000'000;
-
-  // --- Workload-aware placement (DESIGN §14) ---
-  /// 0 = hash baseline (static Topology::partition_of), 1 = workload-aware:
-  /// servers sketch per-key access, a controller migrates hot keys.
-  /// (placement::Policy; stored as an int so config.h stays wire-layer-free.)
-  std::uint8_t placement_policy = 0;
-  /// Space-Saving sketch capacity per server.
-  std::uint32_t sketch_capacity = 256;
-  /// How often servers ship their sketch to the controller (0 = never).
-  sim::SimTime sketch_report_period_us = 200'000;
-  /// Workload-aware policy: migrate this many of the hottest keys...
-  std::uint32_t migrate_top_k = 0;
-  /// ...starting at this run time (0 = never trigger migration).
-  sim::SimTime migrate_at_us = 0;
-  /// Fault injection with teeth: src replicas ship EMPTY version chains, so
-  /// post-migration reads are deterministically stale and the exactness
-  /// checker must go red. Proves the migration tests can fail.
-  bool migrate_fault_skip_copy = false;
 };
 
 }  // namespace paris::proto

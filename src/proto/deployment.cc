@@ -559,21 +559,6 @@ ServerBase::Stats Deployment::total_server_stats() const {
     t.orphan_commits += x.orphan_commits;
     t.orphan_prepare_resps += x.orphan_prepare_resps;
     t.prepared_fenced += x.prepared_fenced;
-    t.sketch_reports_sent += x.sketch_reports_sent;
-    t.keys_migrated += x.keys_migrated;
-    t.migrate_parked += x.migrate_parked;
-    t.migrate_chains_sent += x.migrate_chains_sent;
-    t.migrate_chains_installed += x.migrate_chains_installed;
-    // Placement scores are computed only on the controller; every other
-    // server reports 0, so max (not sum) preserves the controller's value.
-    t.replicate_factor_before_x1e6 =
-        std::max(t.replicate_factor_before_x1e6, x.replicate_factor_before_x1e6);
-    t.replicate_factor_after_x1e6 =
-        std::max(t.replicate_factor_after_x1e6, x.replicate_factor_after_x1e6);
-    t.load_rel_stddev_before_x1e6 =
-        std::max(t.load_rel_stddev_before_x1e6, x.load_rel_stddev_before_x1e6);
-    t.load_rel_stddev_after_x1e6 =
-        std::max(t.load_rel_stddev_after_x1e6, x.load_rel_stddev_after_x1e6);
   }
   return t;
 }

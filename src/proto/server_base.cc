@@ -74,16 +74,6 @@ sim::SimTime CostModel::service_us(const Message& m) const {
     case MsgType::kCatchUpRequest:
     case MsgType::kCatchUpChunk:
       return 0;
-    // Placement control plane: like recovery, charged nothing — migration
-    // throughput is dominated by the flush/drain barrier, not CPU.
-    case MsgType::kSketchReport:
-    case MsgType::kMigrateFence:
-    case MsgType::kMigrateFlush:
-    case MsgType::kMigrateChain:
-    case MsgType::kMigrateReady:
-    case MsgType::kMigrateCommit:
-    case MsgType::kMigrateCommitAck:
-      return 0;
   }
   return 0;
 }
@@ -97,10 +87,6 @@ ServerBase::ServerBase(Runtime& rt, DcId dc, PartitionId partition)
   replica_idx_ = rt_.topo.replica_idx(dc, partition);
   PARIS_CHECK_MSG(replica_idx_ != kInvalidReplica, "server placed at a DC not replicating it");
   vv_.assign(rt_.topo.replication(), kTsZero);
-  if (placement_on()) {
-    sketch_ = placement::AccessSketch(rt_.cfg.sketch_capacity);
-    if (is_controller()) ctrl_ = std::make_unique<ControllerState>();
-  }
 }
 
 void ServerBase::attach(NodeId self, PhysClock clock) {
@@ -118,11 +104,6 @@ void ServerBase::start_timers(Rng& phase_rng) {
   ctx_reaper_timer_ = rt_.exec.every(self_, cfg.tx_context_timeout_us / 2,
                                      phase_rng.next_below(cfg.tx_context_timeout_us / 2),
                                      [this] { reap_stale_contexts(); });
-  if (placement_on() && cfg.sketch_report_period_us > 0) {
-    sketch_timer_ = rt_.exec.every(self_, cfg.sketch_report_period_us,
-                                   phase_rng.next_below(cfg.sketch_report_period_us),
-                                   [this] { sketch_tick(); });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -185,20 +166,6 @@ void ServerBase::on_message(NodeId from, const Message& m) {
       return handle_catchup_request(from, static_cast<const CatchUpRequest&>(m));
     case MsgType::kCatchUpChunk:
       return handle_catchup_chunk(from, static_cast<const CatchUpChunk&>(m));
-    case MsgType::kSketchReport:
-      return handle_sketch_report(from, static_cast<const SketchReport&>(m));
-    case MsgType::kMigrateFence:
-      return handle_migrate_fence(from, static_cast<const MigrateFence&>(m));
-    case MsgType::kMigrateFlush:
-      return handle_migrate_flush(from, static_cast<const MigrateFlush&>(m));
-    case MsgType::kMigrateChain:
-      return handle_migrate_chain(from, static_cast<const MigrateChain&>(m));
-    case MsgType::kMigrateReady:
-      return handle_migrate_ready(from, static_cast<const MigrateReady&>(m));
-    case MsgType::kMigrateCommit:
-      return handle_migrate_commit(from, static_cast<const MigrateCommit&>(m));
-    case MsgType::kMigrateCommitAck:
-      return handle_migrate_commit_ack(from, static_cast<const MigrateCommitAck&>(m));
     case MsgType::kClientStartResp:
     case MsgType::kClientReadResp:
     case MsgType::kClientCommitResp:
@@ -229,24 +196,18 @@ NodeId ServerBase::route_to_partition(PartitionId p) const {
   return rt_.dir.server(rt_.route_dc(dc_, p), p);
 }
 
-void ServerBase::handle_client_read(NodeId from, const ClientReadReq& m) {
+void ServerBase::handle_client_read(NodeId /*from*/, const ClientReadReq& m) {
   auto it = tx_.find(m.tx);
   PARIS_CHECK_MSG(it != tx_.end(), "read for unknown transaction");
   TxCtx& ctx = it->second;
   PARIS_CHECK_MSG(ctx.read.outstanding == 0, "client issued overlapping reads");
   PARIS_CHECK(!m.keys.empty());
-  if (fence_ != nullptr) {
-    for (Key k : m.keys)
-      if (park_if_fenced(from, m, k)) return;
-  }
-  if (placement_on()) sketch_note_keys(m.keys);
-  (void)from;
 
   // Group keys by serving node (local replica if present, else the DC's
   // preferred remote replica; Alg. 2 lines 9-12) in the reusable scratch.
   fan_nodes_.clear();
   for (Key k : m.keys)
-    fan_keys_[fan_group(route_to_partition(partition_for(k)))].push_back(k);
+    fan_keys_[fan_group(route_to_partition(rt_.topo.partition_of(k)))].push_back(k);
 
   ctx.read.outstanding = static_cast<std::uint32_t>(fan_nodes_.size());
   ctx.read.items.clear();
@@ -291,22 +252,12 @@ void ServerBase::handle_slice_resp(NodeId /*from*/, const ReadSliceResp& m) {
   send(ctx.client, std::move(resp));
 }
 
-void ServerBase::handle_client_commit(NodeId from, const ClientCommitReq& m) {
+void ServerBase::handle_client_commit(NodeId /*from*/, const ClientCommitReq& m) {
   auto it = tx_.find(m.tx);
   PARIS_CHECK_MSG(it != tx_.end(), "commit for unknown transaction");
   TxCtx& ctx = it->second;
   PARIS_CHECK_MSG(!ctx.committing, "double commit");
   PARIS_CHECK_MSG(!m.writes.empty(), "empty commit should use TxEnd");
-  // Park BEFORE the tracer sees the write set: a parked commit is replayed
-  // through this handler in full, and the checker must record it once.
-  if (fence_ != nullptr) {
-    for (const auto& w : m.writes)
-      if (park_if_fenced(from, m, w.k)) return;
-  }
-  if (placement_on()) {
-    for (const auto& w : m.writes) sketch_.note(w.k, dc_);
-  }
-  (void)from;
   ctx.committing = true;
   if (rt_.tracer) rt_.tracer->on_commit_writes(m.tx, dc_, m.writes);
 
@@ -314,7 +265,7 @@ void ServerBase::handle_client_commit(NodeId from, const ClientCommitReq& m) {
 
   fan_nodes_.clear();
   for (const auto& w : m.writes)
-    fan_writes_[fan_group(route_to_partition(partition_for(w.k)))].push_back(w);
+    fan_writes_[fan_group(route_to_partition(rt_.topo.partition_of(w.k)))].push_back(w);
 
   ctx.commit.outstanding = static_cast<std::uint32_t>(fan_nodes_.size());
   ctx.commit.max_pt = kTsZero;
@@ -566,11 +517,6 @@ void ServerBase::apply_tick() {
       ++stats_.heartbeats_sent;
     }
   }
-
-  // Migration drain piggybacks on the apply cycle: once the in-flight 2PC
-  // state for the fenced key has fully settled into the store, the chain
-  // ships (DESIGN §14).
-  if (src_move_ != nullptr) maybe_ship_chain();
 }
 
 void ServerBase::handle_replicate(NodeId from, const ReplicateBatch& m) {
@@ -645,308 +591,6 @@ Timestamp ServerBase::min_vv_installed() const {
 void ServerBase::gc_tick() {
   if (rt_.net.node_paused(self_)) return;
   store_.gc(gc_watermark());
-}
-
-// ---------------------------------------------------------------------------
-// Workload-aware placement + online key migration (DESIGN §14).
-// ---------------------------------------------------------------------------
-
-namespace {
-std::uint64_t to_x1e6(double v) { return static_cast<std::uint64_t>(v * 1e6 + 0.5); }
-}  // namespace
-
-bool ServerBase::is_controller() const {
-  return partition_ == 0 && dc_ == rt_.topo.replicas(0)[0];
-}
-
-NodeId ServerBase::controller_node() const {
-  return rt_.dir.server(rt_.topo.replicas(0)[0], 0);
-}
-
-bool ServerBase::park_if_fenced(NodeId from, const Message& m, Key k) {
-  if (k != fence_->key) return false;
-  auto& slot = fence_->parked.emplace_back(from, std::vector<std::uint8_t>{});
-  encode_message(m, slot.second);
-  ++stats_.migrate_parked;
-  return true;
-}
-
-void ServerBase::sketch_note_keys(const std::vector<Key>& keys) {
-  for (Key k : keys) sketch_.note(k, dc_);
-}
-
-void ServerBase::sketch_tick() {
-  if (rt_.net.node_paused(self_)) return;
-  if (sketch_.total() > 0) {
-    // Ship the hot slice to the controller, then reset: counts are
-    // per-period deltas the controller sums.
-    const auto top = sketch_.top(64);
-    if (ctrl_ != nullptr) {
-      ctrl_->merged.merge(top);
-    } else {
-      auto rep = make_msg<SketchReport>();
-      rep->dc = dc_;
-      rep->partition = partition_;
-      rep->entries.reserve(top.size());
-      for (const auto& e : top)
-        rep->entries.push_back(SketchEntry{e.key, e.count, e.dc_mask});
-      send(controller_node(), std::move(rep));
-    }
-    ++stats_.sketch_reports_sent;
-    sketch_.clear();
-  }
-  if (ctrl_ != nullptr) maybe_start_migration();
-}
-
-void ServerBase::handle_sketch_report(NodeId /*from*/, const SketchReport& m) {
-  PARIS_CHECK_MSG(ctrl_ != nullptr, "sketch report delivered to a non-controller");
-  std::vector<placement::AccessSketch::Entry> es;
-  es.reserve(m.entries.size());
-  for (const auto& e : m.entries)
-    es.push_back(placement::AccessSketch::Entry{e.k, e.count, e.dc_mask});
-  ctrl_->merged.merge(es);
-}
-
-void ServerBase::maybe_start_migration() {
-  const auto& cfg = rt_.cfg;
-  if (ctrl_->migration_started || cfg.migrate_at_us == 0 || cfg.migrate_top_k == 0) return;
-  if (rt_.exec.now_us() < cfg.migrate_at_us) return;
-  if (ctrl_->merged.total() == 0) return;  // nothing sketched yet, retry next tick
-  ctrl_->migration_started = true;
-
-  const auto assign = [this](Key k) { return partition_for(k); };
-  const auto before = placement::score_assignment(rt_.topo, ctrl_->merged.entries(), assign);
-  stats_.replicate_factor_before_x1e6 = to_x1e6(before.replicate_factor);
-  stats_.load_rel_stddev_before_x1e6 = to_x1e6(before.load_relative_stddev);
-
-  std::vector<std::uint64_t> load(rt_.topo.num_partitions(), 0);
-  for (const auto& e : ctrl_->merged.entries()) load[partition_for(e.key)] += e.count;
-
-  for (const auto& e : ctrl_->merged.top(cfg.migrate_top_k)) {
-    const PartitionId cur = partition_for(e.key);
-    const PartitionId dst = placement::choose_partition(rt_.topo, e, load);
-    if (dst == cur) continue;
-    load[cur] -= std::min(load[cur], e.count);
-    load[dst] += e.count;
-    ctrl_->queue.push_back(MoveSpec{e.key, cur, dst});
-  }
-  start_next_move();
-}
-
-void ServerBase::start_next_move() {
-  if (ctrl_->next >= ctrl_->queue.size()) {
-    ctrl_->move_id = 0;
-    const auto assign = [this](Key k) { return partition_for(k); };
-    const auto after = placement::score_assignment(rt_.topo, ctrl_->merged.entries(), assign);
-    stats_.replicate_factor_after_x1e6 = to_x1e6(after.replicate_factor);
-    stats_.load_rel_stddev_after_x1e6 = to_x1e6(after.load_relative_stddev);
-    return;
-  }
-  const MoveSpec mv = ctrl_->queue[ctrl_->next++];
-  ctrl_->move_id = ctrl_->next;  // 1-based, strictly increasing
-  ctrl_->readies_pending = rt_.topo.replication();
-  ctrl_->acks_pending = rt_.topo.total_servers();
-  {
-    auto f = make_msg<MigrateFence>();
-    f->move_id = ctrl_->move_id;
-    f->key = mv.key;
-    f->src = mv.src;
-    f->dst = mv.dst;
-    const MessagePtr shared = std::move(f);
-    for (DcId d = 0; d < rt_.topo.num_dcs(); ++d)
-      for (PartitionId p : rt_.topo.partitions_at(d)) {
-        const NodeId n = rt_.dir.server(d, p);
-        if (n != self_) send(n, shared);
-      }
-  }
-  MigrateFence self_fence;
-  self_fence.move_id = ctrl_->move_id;
-  self_fence.key = mv.key;
-  self_fence.src = mv.src;
-  self_fence.dst = mv.dst;
-  handle_migrate_fence(self_, self_fence);
-}
-
-void ServerBase::handle_migrate_fence(NodeId /*from*/, const MigrateFence& m) {
-  PARIS_CHECK_MSG(fence_ == nullptr, "overlapping migration fences");
-  fence_ = std::make_unique<FenceState>();
-  fence_->move_id = m.move_id;
-  fence_->key = m.key;
-  fence_->src = m.src;
-  fence_->dst = m.dst;
-  // Tell every src replica this server stopped routing new transactions to
-  // the key. FIFO channels order the flush behind any PrepareReq this
-  // server already sent for it.
-  // The flush carries this server's HLC: every snapshot it handed out (and
-  // every commit it proposed) before the fence is bounded by it, so the max
-  // over all flushes upper-bounds everything stable at cutover.
-  for (DcId d : rt_.topo.replicas(m.src)) {
-    const NodeId n = rt_.dir.server(d, m.src);
-    if (n == self_) {
-      note_flush(m.move_id, m.key, hlc_.value());
-      continue;
-    }
-    auto fl = make_msg<MigrateFlush>();
-    fl->move_id = m.move_id;
-    fl->key = m.key;
-    fl->from_dc = dc_;
-    fl->from_partition = partition_;
-    fl->floor = hlc_.value();
-    send(n, std::move(fl));
-  }
-}
-
-void ServerBase::handle_migrate_flush(NodeId /*from*/, const MigrateFlush& m) {
-  note_flush(m.move_id, m.key, m.floor);
-}
-
-void ServerBase::note_flush(std::uint64_t move_id, Key key, Timestamp floor) {
-  if (src_move_ == nullptr) {
-    // Lazily armed: a peer's flush may overtake this replica's own fence.
-    src_move_ = std::make_unique<SrcMoveState>();
-    src_move_->move_id = move_id;
-    src_move_->key = key;
-    src_move_->flushes_pending = rt_.topo.total_servers();
-  }
-  PARIS_CHECK_MSG(src_move_->move_id == move_id, "flush for a different move");
-  PARIS_CHECK(src_move_->flushes_pending > 0);
-  src_move_->floor = std::max(src_move_->floor, floor);
-  --src_move_->flushes_pending;
-  maybe_ship_chain();
-}
-
-void ServerBase::maybe_ship_chain() {
-  if (src_move_->flushes_pending > 0) return;
-  const Key key = src_move_->key;
-  // Drained? Any prepared or committed-but-unapplied entry naming the key
-  // means an in-flight 2PC can still add versions; re-checked from
-  // apply_tick until clear (2PC traffic is never parked, so this resolves).
-  for (const auto& [tx, pe] : prepared_)
-    for (const auto& w : pe.writes)
-      if (w.k == key) return;
-  for (const auto& [ct_tx, writes] : committed_)
-    for (const auto& w : writes)
-      if (w.k == key) return;
-  // The barrier only completes after our own fence (its flush is counted in
-  // handle_migrate_fence), so the destination is always known here.
-  PARIS_CHECK_MSG(fence_ != nullptr && fence_->move_id == src_move_->move_id,
-                  "src replica shipping without its own fence");
-  std::vector<std::uint8_t> blob;
-  Encoder e(blob);
-  const std::vector<store::Version>* chain =
-      rt_.cfg.migrate_fault_skip_copy ? nullptr : store_.chain(key);
-  if (chain != nullptr) {
-    e.put_varint(chain->size());
-    for (const auto& ver : *chain) encode_version_record(e, key, ver);
-  } else {
-    // Key never written here — or the seeded fault: shipping an empty chain
-    // makes post-migration reads deterministically stale (checker-visible).
-    e.put_varint(0);
-  }
-  // Ship-time HLC also bounds any 2PC that drained AFTER the fence floors
-  // were sampled (its timestamps were proposed at this replica).
-  const Timestamp floor = std::max(src_move_->floor, hlc_.value());
-  for (DcId d : rt_.topo.replicas(fence_->dst)) {
-    auto ch = make_msg<MigrateChain>();
-    ch->move_id = src_move_->move_id;
-    ch->key = key;
-    ch->src_dc = dc_;
-    ch->floor = floor;
-    ch->payload = blob;
-    send(rt_.dir.server(d, fence_->dst), std::move(ch));
-    ++stats_.migrate_chains_sent;
-  }
-  src_move_.reset();
-}
-
-void ServerBase::handle_migrate_chain(NodeId /*from*/, const MigrateChain& m) {
-  if (dst_move_ == nullptr) {
-    dst_move_ = std::make_unique<DstMoveState>();
-    dst_move_->move_id = m.move_id;
-    dst_move_->chains_pending = rt_.topo.replication();
-  }
-  PARIS_CHECK_MSG(dst_move_->move_id == m.move_id, "chain for a different move");
-  Decoder d(m.payload);
-  install_records(d);
-  PARIS_CHECK_MSG(d.done(), "trailing bytes after migrated chain");
-  ++stats_.migrate_chains_installed;
-  dst_move_->floor = std::max(dst_move_->floor, m.floor);
-  if (--dst_move_->chains_pending > 0) return;
-  // The timestamp half of the handover: without this, a dst replica whose
-  // HLC lags could propose a post-cutover commit for the key BELOW a
-  // snapshot that was already stable pre-cutover — the version would appear
-  // "in the past" and reads served from the frozen src chain (or any
-  // replica that missed it) would be exactness violations. Ticking strictly
-  // past the floor orders every new version after everything pre-cutover.
-  hlc_.tick_past(clock_us(), dst_move_->floor);
-  dst_move_.reset();
-  auto rdy = make_msg<MigrateReady>();
-  rdy->move_id = m.move_id;
-  rdy->dc = dc_;
-  rdy->partition = partition_;
-  if (controller_node() == self_) {
-    handle_migrate_ready(self_, *rdy);  // dst replica doubling as controller
-  } else {
-    send(controller_node(), std::move(rdy));
-  }
-}
-
-void ServerBase::handle_migrate_ready(NodeId /*from*/, const MigrateReady& m) {
-  PARIS_CHECK_MSG(ctrl_ != nullptr && ctrl_->move_id == m.move_id, "ready for unknown move");
-  PARIS_CHECK(ctrl_->readies_pending > 0);
-  if (--ctrl_->readies_pending > 0) return;
-  // Every dst replica holds the full chain union: commit the move.
-  const MoveSpec mv = ctrl_->queue[ctrl_->next - 1];
-  {
-    auto c = make_msg<MigrateCommit>();
-    c->move_id = m.move_id;
-    c->key = mv.key;
-    c->src = mv.src;
-    c->dst = mv.dst;
-    const MessagePtr shared = std::move(c);
-    for (DcId d = 0; d < rt_.topo.num_dcs(); ++d)
-      for (PartitionId p : rt_.topo.partitions_at(d)) {
-        const NodeId n = rt_.dir.server(d, p);
-        if (n != self_) send(n, shared);
-      }
-  }
-  MigrateCommit self_commit;
-  self_commit.move_id = m.move_id;
-  self_commit.key = mv.key;
-  self_commit.src = mv.src;
-  self_commit.dst = mv.dst;
-  handle_migrate_commit(self_, self_commit);
-}
-
-void ServerBase::handle_migrate_commit(NodeId /*from*/, const MigrateCommit& m) {
-  PARIS_CHECK_MSG(fence_ != nullptr && fence_->move_id == m.move_id, "commit without fence");
-  PARIS_DCHECK(fence_->key == m.key);
-  override_[m.key] = m.dst;
-  // Unfence BEFORE the replay (the finish_recovery pattern): replayed
-  // messages must take the normal dispatch path and route via the override.
-  const std::unique_ptr<FenceState> fence = std::move(fence_);
-  for (const auto& [from_node, bytes] : fence->parked) {
-    Decoder d(bytes.data(), bytes.size());
-    const MessagePtr mm = decode_message_pooled(d, rt_.net.msg_pool(self_));
-    on_message(from_node, *mm);
-  }
-  auto ack = make_msg<MigrateCommitAck>();
-  ack->move_id = m.move_id;
-  ack->dc = dc_;
-  ack->partition = partition_;
-  if (controller_node() == self_) {
-    handle_migrate_commit_ack(self_, *ack);
-  } else {
-    send(controller_node(), std::move(ack));
-  }
-}
-
-void ServerBase::handle_migrate_commit_ack(NodeId /*from*/, const MigrateCommitAck& m) {
-  PARIS_CHECK_MSG(ctrl_ != nullptr && ctrl_->move_id == m.move_id, "ack for unknown move");
-  PARIS_CHECK(ctrl_->acks_pending > 0);
-  if (--ctrl_->acks_pending > 0) return;
-  ++stats_.keys_migrated;
-  start_next_move();
 }
 
 // ---------------------------------------------------------------------------
@@ -1205,11 +849,11 @@ void ServerBase::handle_catchup_chunk(NodeId from, const CatchUpChunk& m) {
 
 void ServerBase::finish_recovery() {
   if (rec_->join_floor) {
-    // Elastic join HLC floor (the §14 migration argument): every vv entry we
-    // now hold is >= the cluster's frozen stabilization point at cutover, so
-    // ticking the HLC past max(vv_) guarantees every commit this server
-    // proposes post-join lands strictly above any snapshot that stabilized
-    // while its DC was out — those snapshots stay exact forever.
+    // Elastic join HLC floor (DESIGN §11, "Join"): max(vv_) is >= the
+    // cluster's frozen stabilization point at cutover, so ticking the HLC
+    // past it guarantees every commit this server proposes post-join lands
+    // strictly above any snapshot that stabilized while its DC was out —
+    // those snapshots stay exact forever.
     Timestamp floor;
     for (Timestamp t : vv_) floor = std::max(floor, t);
     hlc_.observe(clock_us(), floor.next());

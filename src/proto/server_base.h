@@ -23,7 +23,6 @@
 
 #include "common/min_tracker.h"
 #include "common/phys_clock.h"
-#include "placement/placement.h"
 #include "proto/runtime.h"
 #include "runtime/actor.h"
 #include "storage/mv_store.h"
@@ -82,19 +81,6 @@ class ServerBase : public runtime::Actor {
     std::uint64_t orphan_commits = 0;       ///< Commit2pc with no prepared entry
     std::uint64_t orphan_prepare_resps = 0; ///< PrepareResp for unknown/settled tx
     std::uint64_t prepared_fenced = 0;      ///< prepared entries fenced (dead coordinator)
-    // --- workload-aware placement (DESIGN §14) ---
-    std::uint64_t sketch_reports_sent = 0;
-    std::uint64_t keys_migrated = 0;        ///< controller: completed moves
-    std::uint64_t migrate_parked = 0;       ///< client messages parked behind a fence
-    std::uint64_t migrate_chains_sent = 0;  ///< src-replica chains shipped
-    std::uint64_t migrate_chains_installed = 0;
-    /// Controller-only NuCut-style placement scores, fixed-point ×1e6
-    /// (0 everywhere else; aggregation keeps the max so the controller's
-    /// value survives cluster-wide summing and cross-process merging).
-    std::uint64_t replicate_factor_before_x1e6 = 0;
-    std::uint64_t replicate_factor_after_x1e6 = 0;
-    std::uint64_t load_rel_stddev_before_x1e6 = 0;
-    std::uint64_t load_rel_stddev_after_x1e6 = 0;
   };
   const Stats& stats() const { return stats_; }
 
@@ -311,106 +297,11 @@ class ServerBase : public runtime::Actor {
     bool parked = false;
     /// Elastic join: on finish, tick the HLC past max(vv_) so every commit
     /// this server coordinates post-join exceeds any snapshot that
-    /// stabilized while it was out (the §14 migration floor argument).
+    /// stabilized while it was out (DESIGN §11, "Join").
     bool join_floor = false;
   };
   std::unique_ptr<RecoveryState> rec_;
   std::function<void(std::function<void()>)> catchup_gate_;
-
-  // --- workload-aware placement + online key migration (DESIGN §14) ---
-  //
-  // Routing overrides sit in front of the static hash map at the two fan-out
-  // sites (partition_for). One key moves at a time, cluster-wide:
-  //   controller --MigrateFence--> all servers (park new client txs on k)
-  //   every server --MigrateFlush--> src replicas (FIFO behind its 2PC sends)
-  //   src replica: all flushes in + no prepared/committed entry touching k
-  //     --MigrateChain (full version chain)--> every dst replica
-  //   dst replica: all R chains installed --MigrateReady--> controller
-  //   controller --MigrateCommit--> all servers (flip override, unfence,
-  //     replay parked) --MigrateCommitAck--> controller, next move.
-  // Requires FIFO channels (the backend invariant; migration runs must not
-  // enable chaos reorder), which makes the flush a true barrier: any
-  // PrepareReq for k a server sent before fencing is ordered before its
-  // flush on the same channel.
-
-  /// Effective key -> partition map: migration overrides, else the hash.
-  PartitionId partition_for(Key k) const {
-    if (!override_.empty()) {
-      if (auto it = override_.find(k); it != override_.end()) return it->second;
-    }
-    return rt_.topo.partition_of(k);
-  }
-  bool placement_on() const { return rt_.cfg.placement_policy != 0; }
-  bool is_controller() const;
-  NodeId controller_node() const;
-  /// True when the message was parked behind an active fence (caller must
-  /// return without processing).
-  bool park_if_fenced(NodeId from, const wire::Message& m, Key k);
-  void sketch_note_keys(const std::vector<Key>& keys);
-  void sketch_tick();
-  void maybe_start_migration();
-  void start_next_move();
-  void maybe_ship_chain();
-  void note_flush(std::uint64_t move_id, Key key, Timestamp floor);
-
-  void handle_sketch_report(NodeId from, const wire::SketchReport& m);
-  void handle_migrate_fence(NodeId from, const wire::MigrateFence& m);
-  void handle_migrate_flush(NodeId from, const wire::MigrateFlush& m);
-  void handle_migrate_chain(NodeId from, const wire::MigrateChain& m);
-  void handle_migrate_ready(NodeId from, const wire::MigrateReady& m);
-  void handle_migrate_commit(NodeId from, const wire::MigrateCommit& m);
-  void handle_migrate_commit_ack(NodeId from, const wire::MigrateCommitAck& m);
-
-  std::unordered_map<Key, PartitionId> override_;  ///< migrated keys
-  placement::AccessSketch sketch_{0};              ///< sized from cfg in ctor
-  runtime::TimerHandle sketch_timer_;
-
-  /// Every-server fence for the one in-flight move.
-  struct FenceState {
-    std::uint64_t move_id = 0;
-    Key key = 0;
-    PartitionId src = 0, dst = 0;
-    std::vector<std::pair<NodeId, std::vector<std::uint8_t>>> parked;
-  };
-  std::unique_ptr<FenceState> fence_;
-
-  /// Src-replica side: flush barrier + drain, then chain shipping.
-  struct SrcMoveState {
-    std::uint64_t move_id = 0;
-    Key key = 0;
-    PartitionId dst = 0;
-    std::uint32_t flushes_pending = 0;
-    /// Running max of the flush floors (every server's HLC at fence time).
-    Timestamp floor;
-  };
-  std::unique_ptr<SrcMoveState> src_move_;
-
-  /// Dst-replica side: one chain owed per src replica.
-  struct DstMoveState {
-    std::uint64_t move_id = 0;
-    std::uint32_t chains_pending = 0;
-    /// Running max of the chain floors; ticked past before MigrateReady so
-    /// post-cutover commit proposals land strictly above every snapshot
-    /// that stabilized — and every version that committed — pre-cutover.
-    Timestamp floor;
-  };
-  std::unique_ptr<DstMoveState> dst_move_;
-
-  /// Controller-only migration driver.
-  struct MoveSpec {
-    Key key = 0;
-    PartitionId src = 0, dst = 0;
-  };
-  struct ControllerState {
-    placement::AccessSketch merged{1024};
-    bool migration_started = false;
-    std::vector<MoveSpec> queue;
-    std::size_t next = 0;            ///< queue index of the next move to start
-    std::uint64_t move_id = 0;       ///< current move (0 = idle)
-    std::uint32_t readies_pending = 0;
-    std::uint32_t acks_pending = 0;
-  };
-  std::unique_ptr<ControllerState> ctrl_;
 
   void handle_snapshot_request(NodeId from, const wire::SnapshotRequest& m);
   void handle_snapshot_chunk(NodeId from, const wire::SnapshotChunk& m);

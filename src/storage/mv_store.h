@@ -108,13 +108,6 @@ class MvStore {
     return out;
   }
 
-  /// Full version chain of k in total order, or nullptr if the key has no
-  /// versions. Online key migration ships this to the destination replicas.
-  const std::vector<Version>* chain(Key k) const {
-    auto it = chains_.find(k);
-    return it == chains_.end() || it->second.empty() ? nullptr : &it->second;
-  }
-
   std::size_t num_keys() const { return chains_.size(); }
   std::size_t num_versions() const { return num_versions_; }
   const StoreStats& stats() const { return stats_; }

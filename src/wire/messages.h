@@ -44,17 +44,10 @@ enum class MsgType : std::uint8_t {
   kSnapshotChunk,
   kCatchUpRequest,
   kCatchUpChunk,
-  kSketchReport,
-  kMigrateFence,
-  kMigrateFlush,
-  kMigrateChain,
-  kMigrateReady,
-  kMigrateCommit,
-  kMigrateCommitAck,
 };
 
 const char* msg_type_name(MsgType t);
-inline constexpr int kNumMsgTypes = static_cast<int>(MsgType::kMigrateCommitAck) + 1;
+inline constexpr int kNumMsgTypes = static_cast<int>(MsgType::kCatchUpChunk) + 1;
 
 // ---------------------------------------------------------------------------
 // Plain data sub-records.
@@ -916,144 +909,6 @@ struct CatchUpChunk : MessageBase<CatchUpChunk, MsgType::kCatchUpChunk> {
   }
 };
 
-// ---------------------------------------------------------------------------
-// Workload-aware placement: sketch reporting + online hot-key migration
-// (DESIGN.md §14). All placement traffic is FIFO per channel and, like the
-// recovery messages, charged zero cost by the simulator's CPU model.
-// ---------------------------------------------------------------------------
-
-/// One entry of a server's Space-Saving access sketch.
-struct SketchEntry {
-  Key k = 0;
-  std::uint64_t count = 0;
-  std::uint32_t dc_mask = 0;  ///< bit d set => DC d accessed the key
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.k);
-    f(s.count);
-    f(s.dc_mask);
-  }
-  friend bool operator==(const SketchEntry&, const SketchEntry&) = default;
-};
-
-/// Server -> placement controller: periodic top-K slice of the local access
-/// sketch (then reset, so counts are per-period deltas the controller sums).
-struct SketchReport : MessageBase<SketchReport, MsgType::kSketchReport> {
-  DcId dc = 0;
-  PartitionId partition = 0;
-  std::vector<SketchEntry> entries;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.dc);
-    f(s.partition);
-    f(s.entries);
-  }
-};
-
-/// Controller -> every server: fence `key` for move `move_id`. Servers park
-/// new client transactions touching the key and tell every src replica they
-/// have stopped routing to it (MigrateFlush).
-struct MigrateFence : MessageBase<MigrateFence, MsgType::kMigrateFence> {
-  std::uint64_t move_id = 0;
-  Key key = 0;
-  PartitionId src = 0;
-  PartitionId dst = 0;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.move_id);
-    f(s.key);
-    f(s.src);
-    f(s.dst);
-  }
-};
-
-/// Any server -> src-partition replicas: "I fenced `key`; no new 2PC traffic
-/// for it will arrive from me". FIFO behind that server's in-flight sends.
-struct MigrateFlush : MessageBase<MigrateFlush, MsgType::kMigrateFlush> {
-  std::uint64_t move_id = 0;
-  Key key = 0;
-  DcId from_dc = 0;
-  PartitionId from_partition = 0;
-  /// Sender's HLC at fence time. Any snapshot a coordinator handed out
-  /// before it stopped routing to the key is bounded by the max of these
-  /// floors; the dst replicas tick past it so post-cutover writes can never
-  /// commit inside an already-stable snapshot (see maybe_ship_chain).
-  Timestamp floor;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.move_id);
-    f(s.key);
-    f(s.from_dc);
-    f(s.from_partition);
-    f(s.floor);
-  }
-};
-
-/// Src replica -> every dst replica: the key's full version chain (an
-/// encode_version_record list, same format as recovery state transfer),
-/// shipped after the src replica drained its in-flight 2PC state for the key.
-struct MigrateChain : MessageBase<MigrateChain, MsgType::kMigrateChain> {
-  std::uint64_t move_id = 0;
-  Key key = 0;
-  DcId src_dc = 0;
-  /// max(accumulated flush floors, src HLC at ship time): an upper bound on
-  /// every snapshot stabilized — and every src version committed — before
-  /// cutover. Dst ticks its HLC strictly past this before reporting ready.
-  Timestamp floor;
-  std::vector<std::uint8_t> payload;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.move_id);
-    f(s.key);
-    f(s.src_dc);
-    f(s.floor);
-    f(s.payload);
-  }
-};
-
-/// Dst replica -> controller: all src-replica chains for `move_id` installed.
-struct MigrateReady : MessageBase<MigrateReady, MsgType::kMigrateReady> {
-  std::uint64_t move_id = 0;
-  DcId dc = 0;
-  PartitionId partition = 0;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.move_id);
-    f(s.dc);
-    f(s.partition);
-  }
-};
-
-/// Controller -> every server: flip routing of `key` to `dst`, unfence, and
-/// replay the transactions parked behind the fence.
-struct MigrateCommit : MessageBase<MigrateCommit, MsgType::kMigrateCommit> {
-  std::uint64_t move_id = 0;
-  Key key = 0;
-  PartitionId src = 0;
-  PartitionId dst = 0;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.move_id);
-    f(s.key);
-    f(s.src);
-    f(s.dst);
-  }
-};
-
-/// Server -> controller: commit applied; the controller starts the next move
-/// once every server acked (moves are sequential, one key in flight).
-struct MigrateCommitAck : MessageBase<MigrateCommitAck, MsgType::kMigrateCommitAck> {
-  std::uint64_t move_id = 0;
-  DcId dc = 0;
-  PartitionId partition = 0;
-  template <class S, class F>
-  static void fields(S& s, F&& f) {
-    f(s.move_id);
-    f(s.dc);
-    f(s.partition);
-  }
-};
-
 /// Byte-level validation of an encode_message() buffer WITHOUT the strict
 /// decoder's abort-on-malformed contract: returns false on unknown type,
 /// truncation, overlong varints, oversized counts or trailing garbage, and
@@ -1090,13 +945,6 @@ bool validate_encoded_message(const std::uint8_t* data, std::size_t len);
   X(SnapshotRequest)             \
   X(SnapshotChunk)               \
   X(CatchUpRequest)              \
-  X(CatchUpChunk)                \
-  X(SketchReport)                \
-  X(MigrateFence)                \
-  X(MigrateFlush)                \
-  X(MigrateChain)                \
-  X(MigrateReady)                \
-  X(MigrateCommit)               \
-  X(MigrateCommitAck)
+  X(CatchUpChunk)
 
 }  // namespace paris::wire

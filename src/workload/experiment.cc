@@ -318,19 +318,6 @@ ExperimentResult run_local_experiment(const ExperimentConfig& cfg,
   res.catchups_served = server_stats.catchups_served;
   res.prepared_fenced = server_stats.prepared_fenced;
   res.recovery_ms = recovery_ms;
-  res.keys_migrated = server_stats.keys_migrated;
-  res.migrate_parked = server_stats.migrate_parked;
-  res.migrate_chains_sent = server_stats.migrate_chains_sent;
-  res.migrate_chains_installed = server_stats.migrate_chains_installed;
-  res.sketch_reports = server_stats.sketch_reports_sent;
-  res.replicate_factor_before =
-      static_cast<double>(server_stats.replicate_factor_before_x1e6) / 1e6;
-  res.replicate_factor_after =
-      static_cast<double>(server_stats.replicate_factor_after_x1e6) / 1e6;
-  res.load_rel_stddev_before =
-      static_cast<double>(server_stats.load_rel_stddev_before_x1e6) / 1e6;
-  res.load_rel_stddev_after =
-      static_cast<double>(server_stats.load_rel_stddev_after_x1e6) / 1e6;
   for (const auto& c : dep.clients()) {
     res.max_client_cache = std::max(res.max_client_cache, c->stats().max_cache_size);
     res.keys_read += c->stats().keys_read;

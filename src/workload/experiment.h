@@ -156,17 +156,6 @@ struct ExperimentResult {
   /// and socket runtimes for the same (config, seed).
   std::uint64_t workload_digest = 0;
 
-  // --- Workload-aware placement results (zero unless placement_policy set).
-  double replicate_factor_before = 0;
-  double replicate_factor_after = 0;
-  double load_rel_stddev_before = 0;
-  double load_rel_stddev_after = 0;
-  std::uint64_t keys_migrated = 0;
-  std::uint64_t migrate_parked = 0;
-  std::uint64_t migrate_chains_sent = 0;
-  std::uint64_t migrate_chains_installed = 0;
-  std::uint64_t sketch_reports = 0;
-
   std::vector<std::string> violations;  // non-empty => consistency bug
 };
 

@@ -39,7 +39,8 @@ namespace {
 ///   v3: the launcher always writes socket_hosts (it expands the loopback
 ///       default itself); the port-base, pump-engine and unbatched-I/O keys
 ///       are gone.
-constexpr std::uint64_t kConfigCodecVersion = 3;
+///   v4: the six workload-aware placement keys are gone.
+constexpr std::uint64_t kConfigCodecVersion = 4;
 
 void put(std::ostringstream& o, const char* k, std::uint64_t v) {
   o << k << ' ' << v << '\n';
@@ -99,14 +100,6 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
   put(o, "bpr_gc_retention_us", static_cast<std::uint64_t>(c.protocol.bpr_gc_retention_us));
   put(o, "tx_context_timeout_us",
       static_cast<std::uint64_t>(c.protocol.tx_context_timeout_us));
-  put(o, "placement_policy", static_cast<std::uint64_t>(c.protocol.placement_policy));
-  put(o, "sketch_capacity", static_cast<std::uint64_t>(c.protocol.sketch_capacity));
-  put(o, "sketch_report_period_us",
-      static_cast<std::uint64_t>(c.protocol.sketch_report_period_us));
-  put(o, "migrate_top_k", static_cast<std::uint64_t>(c.protocol.migrate_top_k));
-  put(o, "migrate_at_us", static_cast<std::uint64_t>(c.protocol.migrate_at_us));
-  put(o, "migrate_fault_skip_copy",
-      static_cast<std::uint64_t>(c.protocol.migrate_fault_skip_copy));
   put(o, "aws_latency", static_cast<std::uint64_t>(c.aws_latency));
   put(o, "uniform_inter_dc_us", c.uniform_inter_dc_us);
   put(o, "uniform_intra_dc_us", c.uniform_intra_dc_us);
@@ -325,18 +318,6 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.protocol.bpr_gc_retention_us = u;
     } else if (key == "tx_context_timeout_us") {
       c.protocol.tx_context_timeout_us = u;
-    } else if (key == "placement_policy") {
-      c.protocol.placement_policy = static_cast<std::uint8_t>(u);
-    } else if (key == "sketch_capacity") {
-      c.protocol.sketch_capacity = static_cast<std::uint32_t>(u);
-    } else if (key == "sketch_report_period_us") {
-      c.protocol.sketch_report_period_us = u;
-    } else if (key == "migrate_top_k") {
-      c.protocol.migrate_top_k = static_cast<std::uint32_t>(u);
-    } else if (key == "migrate_at_us") {
-      c.protocol.migrate_at_us = u;
-    } else if (key == "migrate_fault_skip_copy") {
-      c.protocol.migrate_fault_skip_copy = u != 0;
     } else if (key == "aws_latency") {
       c.aws_latency = u != 0;
     } else if (key == "uniform_inter_dc_us") {
@@ -438,7 +419,7 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
 
 namespace {
 
-constexpr std::uint32_t kResultMagic = 0x50534b31;  // "PSK1"
+constexpr std::uint32_t kResultMagic = 0x50534b32;  // "PSK2"
 /// Literal end-of-file marker: a truncated result file (partial flush,
 /// child killed mid-write) loses it, so decode can reject gracefully
 /// instead of tripping the Decoder's abort-on-truncation checks mid-blob.
@@ -570,17 +551,6 @@ void encode_child_result(const ExperimentResult& res,
   e.put_varint(res.workload_digest);
   put_hist(e, res.intended_hist);
   put_hist(e, res.service_hist);
-  e.put_varint(res.keys_migrated);
-  e.put_varint(res.migrate_parked);
-  e.put_varint(res.migrate_chains_sent);
-  e.put_varint(res.migrate_chains_installed);
-  e.put_varint(res.sketch_reports);
-  // Placement scores ride as fixed-point x1e6 (same convention as the
-  // server stats they came from).
-  e.put_varint(static_cast<std::uint64_t>(res.replicate_factor_before * 1e6 + 0.5));
-  e.put_varint(static_cast<std::uint64_t>(res.replicate_factor_after * 1e6 + 0.5));
-  e.put_varint(static_cast<std::uint64_t>(res.load_rel_stddev_before * 1e6 + 0.5));
-  e.put_varint(static_cast<std::uint64_t>(res.load_rel_stddev_after * 1e6 + 0.5));
   e.put_blob(history);
   out.insert(out.end(), kResultTrailer, kResultTrailer + sizeof(kResultTrailer));
 }
@@ -671,15 +641,6 @@ bool decode_child_result(const std::vector<std::uint8_t>& in, ExperimentResult& 
   res.workload_digest = d.get_varint();
   get_hist(d, res.intended_hist);
   get_hist(d, res.service_hist);
-  res.keys_migrated = d.get_varint();
-  res.migrate_parked = d.get_varint();
-  res.migrate_chains_sent = d.get_varint();
-  res.migrate_chains_installed = d.get_varint();
-  res.sketch_reports = d.get_varint();
-  res.replicate_factor_before = static_cast<double>(d.get_varint()) / 1e6;
-  res.replicate_factor_after = static_cast<double>(d.get_varint()) / 1e6;
-  res.load_rel_stddev_before = static_cast<double>(d.get_varint()) / 1e6;
-  res.load_rel_stddev_after = static_cast<double>(d.get_varint()) / 1e6;
   d.get_blob_into(history);
   return d.done();
 }
@@ -872,20 +833,6 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     res.workload_digest ^= part.workload_digest;
     res.intended_hist.merge(part.intended_hist);
     res.service_hist.merge(part.service_hist);
-    res.keys_migrated += part.keys_migrated;
-    res.migrate_parked += part.migrate_parked;
-    res.migrate_chains_sent += part.migrate_chains_sent;
-    res.migrate_chains_installed += part.migrate_chains_installed;
-    res.sketch_reports += part.sketch_reports;
-    // Scores are controller-only: every other child reports 0, max wins.
-    res.replicate_factor_before =
-        std::max(res.replicate_factor_before, part.replicate_factor_before);
-    res.replicate_factor_after =
-        std::max(res.replicate_factor_after, part.replicate_factor_after);
-    res.load_rel_stddev_before =
-        std::max(res.load_rel_stddev_before, part.load_rel_stddev_before);
-    res.load_rel_stddev_after =
-        std::max(res.load_rel_stddev_after, part.load_rel_stddev_after);
     if (cfg.check_consistency && !history.empty()) {
       merged.merge_serialized(history.data(), history.size());
     }

@@ -8,16 +8,19 @@
 // a read slice, so "join happened on paper only" cannot pass silently.
 //
 // Also covered here: the cross-host addressing surface (--hosts) driving a
-// 2-process cluster across two DISTINCT loopback IPs, and the versioned
-// launcher/child config codec (cfgver header, clear mixed-version errors).
+// 2-process cluster across two DISTINCT loopback IPs, the versioned
+// launcher/child config codec (cfgver header, clear mixed-version errors),
+// and the positional child-result codec (roundtrip, truncation, magic).
 //
 // This binary defines its own main(): the socket tests re-exec it as socket
 // children, which maybe_run_socket_child() intercepts before gtest runs.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "runtime/endpoint.h"
 #include "workload/experiment.h"
@@ -232,6 +235,82 @@ TEST(ConfigCodec, UnknownKeyWithinMatchingVersionStillFails) {
     EXPECT_FALSE(detail::decode_experiment_config(text, out, &err));
     EXPECT_NE(err.find("'" + key + "'"), std::string::npos) << err;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Positional child-result codec.
+// ---------------------------------------------------------------------------
+
+ExperimentResult every_field_nonzero() {
+  ExperimentResult r;
+  std::uint64_t next = 1;  // distinct values expose a swapped or skipped slot
+  for (std::uint64_t* f :
+       {&r.committed, &r.blocked_reads, &r.gossip_msgs, &r.keys_read, &r.local_hits,
+        &r.max_client_cache, &r.sim_events, &r.bytes_sent, &r.chaos.stalled,
+        &r.chaos.duplicated, &r.chaos.dropped, &r.reliable.frames_sent,
+        &r.reliable.retransmits, &r.reliable.fast_retransmits, &r.reliable.acks_sent,
+        &r.reliable.dup_frames, &r.reliable.ooo_frames, &r.reliable.stale_acks,
+        &r.reliable.coalesced, &r.reliable.sacked_skips, &r.reliable.malformed_acks,
+        &r.reliable.rtt_samples, &r.reliable.channel_resets, &r.reliable.fenced_frames,
+        &r.partition.dropped, &r.socket.frames_out, &r.socket.frames_in,
+        &r.socket.bytes_out, &r.socket.bytes_in, &r.socket.partial_reads,
+        &r.socket.short_writes, &r.socket.reconnects, &r.socket.dropped_dead,
+        &r.socket.redial_attempts, &r.socket.redial_giveups, &r.socket.fenced_stale_epoch,
+        &r.socket.malformed_frames, &r.socket.read_syscalls, &r.socket.write_syscalls,
+        &r.socket.flushes, &r.socket.backpressure_stalls, &r.socket.backpressure_drops,
+        &r.snapshots_served, &r.catchups_served, &r.prepared_fenced, &r.recovery_ms,
+        &r.wan.shaped, &r.wan.ge_dropped, &r.wan.duplicated, &r.wan.bw_queued,
+        &r.wan.bw_wait_us, &r.fuzz.mutated, &r.fuzz.flips, &r.fuzz.truncations,
+        &r.fuzz.splices, &r.fuzz.rejected_validate, &r.fuzz.accepted_validate,
+        &r.fuzz.replays, &r.fuzz.captured, &r.scheduled, &r.overdue, &r.max_backlog,
+        &r.workload_digest}) {
+    *f = next++;
+  }
+  r.avg_block_ms = 2.5;  // rides as blocked time: 2.5 ms x blocked_reads, exact
+  for (stats::Histogram* h : {&r.latency_hist, &r.latency_local_hist, &r.latency_multi_hist,
+                              &r.visibility_hist, &r.intended_hist, &r.service_hist}) {
+    h->record(next++);
+    h->record(1000 * next++);
+  }
+  return r;
+}
+
+TEST(ChildResultCodec, RoundtripsAndRejectsCorruption) {
+  const ExperimentResult res = every_field_nonzero();
+  const std::vector<std::uint8_t> history = {7, 0, 255, 42};
+  std::vector<std::uint8_t> bytes;
+  detail::encode_child_result(res, history, bytes);
+
+  ExperimentResult out;
+  std::vector<std::uint8_t> out_history;
+  ASSERT_TRUE(detail::decode_child_result(bytes, out, out_history));
+  EXPECT_EQ(out_history, history);
+  EXPECT_EQ(out.committed, res.committed);
+  EXPECT_EQ(out.avg_block_ms, res.avg_block_ms);
+  EXPECT_EQ(out.workload_digest, res.workload_digest);
+  EXPECT_EQ(out.service_hist.count(), res.service_hist.count());
+  EXPECT_EQ(out.service_hist.max(), res.service_hist.max());
+  // Every slot at once: the decoded result encodes to the very same bytes.
+  std::vector<std::uint8_t> again;
+  detail::encode_child_result(out, out_history, again);
+  EXPECT_EQ(again, bytes);
+
+  // Truncation at every length, which always loses the end-of-file trailer.
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    SCOPED_TRACE(n);
+    const std::vector<std::uint8_t> cut(bytes.begin(),
+                                        bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    ExperimentResult r;
+    std::vector<std::uint8_t> h;
+    EXPECT_FALSE(detail::decode_child_result(cut, r, h));
+  }
+
+  // A child from another build: the leading magic varint differs.
+  std::vector<std::uint8_t> wrong_magic = bytes;
+  wrong_magic[0] ^= 0x01;
+  ExperimentResult r;
+  std::vector<std::uint8_t> h;
+  EXPECT_FALSE(detail::decode_child_result(wrong_magic, r, h));
 }
 
 }  // namespace

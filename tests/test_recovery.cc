@@ -86,6 +86,22 @@ TEST(FrameMutation, ValidatorSurvivesEveryByteFlipAndTruncation) {
   mutate_and_validate(encoded(creq));
 }
 
+TEST(FrameMutation, ValidatorRejectsEveryUnknownTypeId) {
+  // Past the last known id (the retired ids included) the type byte alone
+  // must decide: a bare tag, and a tag in front of a well-formed body.
+  wire::Heartbeat hb;
+  hb.partition = 2;
+  hb.t = Timestamp{1'000'000};
+  std::vector<std::uint8_t> frame = encoded(hb);
+  ASSERT_TRUE(wire::validate_encoded_message(frame.data(), frame.size()));
+  for (int t = wire::kNumMsgTypes; t <= 255; ++t) {
+    SCOPED_TRACE(t);
+    frame[0] = static_cast<std::uint8_t>(t);
+    EXPECT_FALSE(wire::validate_encoded_message(frame.data(), 1));
+    EXPECT_FALSE(wire::validate_encoded_message(frame.data(), frame.size()));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // TxId epoch salting.
 // ---------------------------------------------------------------------------

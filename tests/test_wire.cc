@@ -173,10 +173,15 @@ TEST(Messages, ReplicationAndGossipRoundtrip) {
 
 TEST(Messages, TypeNamesAreDistinct) {
   std::set<std::string> names;
-#define COLLECT_NAME(T) names.insert(msg_type_name(T::kType));
+  std::size_t registered = 0;
+#define COLLECT_NAME(T)                 \
+  names.insert(msg_type_name(T::kType)); \
+  ++registered;
   PARIS_FOREACH_MESSAGE(COLLECT_NAME)
 #undef COLLECT_NAME
-  EXPECT_EQ(names.size(), 30u) << "every message type must have a unique name";
+  // Ids run 1..kNumMsgTypes-1 with no gap, each registered once.
+  EXPECT_EQ(registered, static_cast<std::size_t>(kNumMsgTypes - 1));
+  EXPECT_EQ(names.size(), registered) << "every message type must have a unique name";
 }
 
 // Randomized fuzz: build messages with random field contents, roundtrip.

@@ -25,7 +25,6 @@
 #include <thread>
 
 #include "cluster/membership.h"
-#include "placement/placement.h"
 #include "scenario/scenario.h"
 #include "workload/experiment.h"
 #include "runtime/endpoint.h"
@@ -167,17 +166,6 @@ namespace {
       "                          ('offset_us [key_rank]' per line, time-\n"
       "                          sorted, '#' comments) instead of drawing a\n"
       "                          Poisson process\n"
-      "  --placement=hash|workload\n"
-      "                          key->partition placement: static hash\n"
-      "                          (default) or workload-aware — servers sketch\n"
-      "                          per-key access (Space-Saving top-K), a\n"
-      "                          controller scores placement by replication\n"
-      "                          factor and load balance\n"
-      "  --migrate-top-k=K       workload placement: migrate the K hottest\n"
-      "                          keys online (fence -> flush -> copy chain ->\n"
-      "                          commit; causal snapshots hold throughout)\n"
-      "  --migrate-at-ms=T       workload placement: trigger the migration T\n"
-      "                          ms into the run (0 = never; default 0)\n"
       "  --warmup-ms=W           warmup (default 300)\n"
       "  --measure-ms=M          measurement window (default 1000)\n"
       "  --seed=S                RNG seed (default 42)\n"
@@ -419,17 +407,6 @@ int main(int argc, char** argv) {
     } else if (parse_flag(argv[i], "--trace", &v) && v) {
       cfg.openloop.trace_path = v;
       cfg.openloop.enabled = true;
-    } else if (parse_flag(argv[i], "--placement", &v) && v) {
-      placement::Policy pol;
-      if (!placement::parse_policy(v, &pol)) {
-        std::fprintf(stderr, "error: --placement takes hash|workload, got '%s'\n", v);
-        return 2;
-      }
-      cfg.protocol.placement_policy = static_cast<std::uint8_t>(pol);
-    } else if (parse_flag(argv[i], "--migrate-top-k", &v) && v) {
-      cfg.protocol.migrate_top_k = static_cast<std::uint32_t>(std::atoi(v));
-    } else if (parse_flag(argv[i], "--migrate-at-ms", &v) && v) {
-      cfg.protocol.migrate_at_us = static_cast<sim::SimTime>(std::atoll(v)) * 1000;
     } else if (parse_flag(argv[i], "--warmup-ms", &v) && v) {
       cfg.warmup_us = static_cast<sim::SimTime>(std::atoll(v)) * 1000;
     } else if (parse_flag(argv[i], "--measure-ms", &v) && v) {
@@ -633,12 +610,6 @@ int main(int argc, char** argv) {
                  "zeta diverges)\n");
     return 2;
   }
-  if ((cfg.protocol.migrate_top_k != 0 || cfg.protocol.migrate_at_us != 0) &&
-      cfg.protocol.placement_policy == 0) {
-    std::fprintf(stderr,
-                 "error: --migrate-top-k/--migrate-at-ms require --placement=workload\n");
-    return 2;
-  }
 
   std::printf("system=%s M=%u N=%u R=%u (%.0f machines/DC) threads=%u\n",
               proto::system_name(cfg.system), cfg.num_dcs, cfg.num_partitions,
@@ -716,16 +687,6 @@ int main(int argc, char** argv) {
                   workload::rate_profile_name(cfg.openloop.profile), cfg.openloop.sessions);
     }
   }
-  if (cfg.protocol.placement_policy != 0) {
-    std::printf("placement: workload-aware (sketch %u entries, report every %llu ms",
-                cfg.protocol.sketch_capacity,
-                static_cast<unsigned long long>(cfg.protocol.sketch_report_period_us / 1000));
-    if (cfg.protocol.migrate_top_k != 0 && cfg.protocol.migrate_at_us != 0) {
-      std::printf(", migrate top %u at %llu ms", cfg.protocol.migrate_top_k,
-                  static_cast<unsigned long long>(cfg.protocol.migrate_at_us / 1000));
-    }
-    std::printf(")\n");
-  }
 
   const auto res = workload::run_experiment(cfg);
 
@@ -752,19 +713,6 @@ int main(int argc, char** argv) {
                 stats::with_commas(res.max_backlog).c_str());
     std::printf("workload digest %#18llx\n",
                 static_cast<unsigned long long>(res.workload_digest));
-  }
-  if (cfg.protocol.placement_policy != 0) {
-    std::printf("placement       replicate_factor %.3f -> %.3f, load rel-stddev "
-                "%.3f -> %.3f\n",
-                res.replicate_factor_before, res.replicate_factor_after,
-                res.load_rel_stddev_before, res.load_rel_stddev_after);
-    std::printf("migration       %10s keys moved, %s parked, %s chains shipped / "
-                "%s installed, %s sketch reports\n",
-                stats::with_commas(res.keys_migrated).c_str(),
-                stats::with_commas(res.migrate_parked).c_str(),
-                stats::with_commas(res.migrate_chains_sent).c_str(),
-                stats::with_commas(res.migrate_chains_installed).c_str(),
-                stats::with_commas(res.sketch_reports).c_str());
   }
   if (res.blocked_reads > 0) {
     std::printf("blocked reads   %10s (avg %.1f ms)\n",

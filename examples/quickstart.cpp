@@ -49,7 +49,7 @@ struct BlockingClient {
 
 int main() {
   // 1. Describe the deployment: topology + protocol knobs (defaults follow
-  //    the paper: ΔR = 1ms, ΔG = ΔU = 5ms, HLC timestamps, AWS latencies).
+  //    the paper: ΔR = 1ms, ΔG = 5ms, HLC timestamps, AWS latencies).
   proto::DeploymentConfig cfg;
   cfg.system = proto::System::kParis;
   cfg.topo = {/*num_dcs=*/3, /*num_partitions=*/6, /*replication=*/2};

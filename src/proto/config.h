@@ -56,7 +56,6 @@ struct CostModel {
 struct ProtocolConfig {
   sim::SimTime delta_r_us = 1000;       ///< apply/replicate cycle (Alg. 4)
   sim::SimTime delta_g_us = 5000;       ///< leaf gossip round period (paper: 5ms)
-  sim::SimTime delta_u_us = 5000;       ///< min gap between UstDown sends (paper: 5ms)
   sim::SimTime gc_interval_us = 50'000; ///< storage GC cadence
   std::uint32_t tree_fanout = 2;        ///< stabilization tree arity
   std::int64_t ntp_error_us = 500;      ///< max physical clock offset

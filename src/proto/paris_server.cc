@@ -12,7 +12,8 @@ ParisServer::ParisServer(Runtime& rt, DcId dc, PartitionId partition)
     : ServerBase(rt, dc, partition),
       tree_(rt.topo.servers_per_dc(dc), rt.cfg.tree_fanout),
       gsv_(rt.topo.num_dcs(), kTsZero),
-      oldest_by_dc_(rt.topo.num_dcs(), kTsZero) {
+      oldest_by_dc_(rt.topo.num_dcs(), kTsZero),
+      dc_round_(rt.topo.num_dcs(), 0) {
   const auto& locals = rt.topo.partitions_at(dc);
   const auto it = std::find(locals.begin(), locals.end(), partition);
   PARIS_CHECK(it != locals.end());
@@ -31,7 +32,7 @@ void ParisServer::resolve_tree_nodes() {
   }
   child_min_.assign(child_nodes_.size(), kTsZero);
   child_oldest_.assign(child_nodes_.size(), kTsZero);
-  child_reported_.assign(child_nodes_.size(), false);
+  child_round_.assign(child_nodes_.size(), 0);
   if (tree_.is_root(local_idx_)) {
     dc_roots_.assign(rt_.topo.num_dcs(), kInvalidNode);
     for (DcId d = 0; d < rt_.topo.num_dcs(); ++d) {
@@ -45,15 +46,16 @@ void ParisServer::resolve_tree_nodes() {
 void ParisServer::start_timers(Rng& phase_rng) {
   ServerBase::start_timers(phase_rng);
   resolve_tree_nodes();
-  // Every node draws a ΔG phase and every root a ΔU phase, though only
-  // leaves arm a timer: the draw sequence depends on the node's role alone,
-  // so the phases handed to later servers' timers stay where they are.
-  const std::uint64_t gst_phase = phase_rng.next_below(rt_.cfg.delta_g_us);
-  if (tree_.is_root(local_idx_)) (void)phase_rng.next_below(rt_.cfg.delta_u_us);
-  // Leaves clock the rounds; every other node forwards on its children's
-  // reports (handle_gossip_up).
+  // Every node draws a ΔG phase and every root one more, all discarded, so
+  // the phases handed to later servers' timers stay where they are.
+  (void)phase_rng.next_below(rt_.cfg.delta_g_us);
+  if (tree_.is_root(local_idx_)) (void)phase_rng.next_u64();
+  // Leaves tick where their own clock, read one round ahead (it reads a
+  // clamped 0 at start-up if behind the runtime's), is a multiple of ΔG.
   if (child_nodes_.empty()) {
-    gst_timer_ = rt_.exec.every(self_, rt_.cfg.delta_g_us, gst_phase, [this] { gst_tick(); });
+    const std::uint64_t g = rt_.cfg.delta_g_us;
+    const std::uint64_t ahead = clock_.read_us(rt_.exec.now_us() + g);
+    gst_timer_ = rt_.exec.every(self_, g, (g - ahead % g) % g, [this] { gst_tick(); });
   }
 }
 
@@ -141,9 +143,6 @@ void ParisServer::gst_tick() {
     sub_min = std::min(sub_min, child_min_[i]);
     sub_oldest = std::min(sub_oldest, child_oldest_[i]);
   }
-  // A new round starts: wait for every child to report again.
-  std::fill(child_reported_.begin(), child_reported_.end(), false);
-
   if (!tree_.is_root(local_idx_)) {
     auto up = make_msg<GossipUp>();
     up->min_vv = sub_min;
@@ -162,13 +161,13 @@ void ParisServer::gst_tick() {
   root_msg->oldest_active = oldest_by_dc_[dc_];
   const wire::MessagePtr root_shared = std::move(root_msg);
   for (DcId d = 0; d < rt_.topo.num_dcs(); ++d) {
-    // Only currently-active DCs take part in the root exchange: a drained
-    // DC stops gossiping, a not-yet-joined one has nothing to contribute.
-    if (d == dc_ || dc_roots_[d] == kInvalidNode || !rt_.dc_active(d)) continue;
+    // A not-yet-joined DC has nothing to contribute. A drained one still
+    // hears the exchange, so its UST, hence its GC input, keeps moving.
+    if (d == dc_ || dc_roots_[d] == kInvalidNode || !rt_.dc_ever_active(d)) continue;
     send(dc_roots_[d], root_shared);
     ++stats_.gossip_msgs_sent;
   }
-  recompute_ust();
+  note_dc_round(dc_);
 }
 
 void ParisServer::handle_gossip_up(NodeId from, const GossipUp& m) {
@@ -178,64 +177,57 @@ void ParisServer::handle_gossip_up(NodeId from, const GossipUp& m) {
   const std::size_t i = it->second;
   child_min_[i] = std::max(child_min_[i], m.min_vv);
   child_oldest_[i] = m.oldest_active;
-  child_reported_[i] = true;
+  child_round_[i] = local_round();
   // The slowest child closes the round: forward at once instead of waiting
   // for a timer of this node's own.
-  if (std::all_of(child_reported_.begin(), child_reported_.end(), [](bool r) { return r; }))
-    gst_tick();
+  const std::uint64_t r = *std::min_element(child_round_.begin(), child_round_.end());
+  if (r <= up_round_) return;
+  up_round_ = r;
+  gst_tick();
 }
 
 void ParisServer::handle_gossip_root(NodeId /*from*/, const GossipRoot& m) {
   PARIS_CHECK_MSG(tree_.is_root(local_idx_), "root exchange received by non-root");
   gsv_[m.dc] = std::max(gsv_[m.dc], m.gst);
   oldest_by_dc_[m.dc] = m.oldest_active;
-  recompute_ust();
+  note_dc_round(m.dc);
 }
 
-void ParisServer::recompute_ust() {
+void ParisServer::note_dc_round(DcId d) {
   resolve_tree_nodes();
+  dc_round_[d] = local_round();
   // The UST is the aggregate minimum of the currently-active DCs' GSTs; it
   // is 0 (no stable snapshot yet) until each of them has reported at least
   // once — which also freezes the UST across a join until the new DC's root
   // first reports, mirroring the conservative min_vv(). A drained DC drops
   // out of the minimum (its replicated versions are covered by the active
-  // DCs' own min_vv terms).
+  // DCs' own min_vv terms), but not out of the GC watermark: its clients'
+  // last transactions still read at the active DCs (DESIGN §11, "Leave").
   Timestamp candidate = kTsMax;
   Timestamp oldest = kTsMax;
-  for (DcId d = 0; d < rt_.topo.num_dcs(); ++d) {
-    if (!rt_.dc_active(d)) continue;
-    candidate = std::min(candidate, gsv_[d]);
-    oldest = std::min(oldest, oldest_by_dc_[d]);
+  std::uint64_t round = UINT64_MAX;
+  for (DcId x = 0; x < rt_.topo.num_dcs(); ++x) {
+    if (rt_.dc_ever_active(x)) oldest = std::min(oldest, oldest_by_dc_[x]);
+    if (!rt_.dc_active(x)) continue;
+    candidate = std::min(candidate, gsv_[x]);
+    round = std::min(round, dc_round_[x]);
   }
-  if (candidate.is_zero() || candidate == kTsMax) return;
-
-  set_ust(std::max(ust_, candidate));
-  // GC below both every DC's oldest active snapshot and the UST itself.
-  gc_watermark_ = std::max(gc_watermark_, std::min(oldest, ust_));
-  schedule_ust_down();
-}
-
-void ParisServer::schedule_ust_down() {
-  if (down_pending_) return;  // the armed task sends the then-current UST
-  const std::uint64_t now = rt_.exec.now_us();
-  if (now >= next_down_us_) {
-    send_ust_down();
-    return;
+  if (!candidate.is_zero() && candidate != kTsMax) {
+    set_ust(std::max(ust_, candidate));
+    // GC below both every DC's oldest active snapshot and the UST itself.
+    gc_watermark_ = std::max(gc_watermark_, std::min(oldest, ust_));
   }
-  if (!advanced_since_down()) return;
-  down_pending_ = true;
-  rt_.exec.defer_at(self_, next_down_us_, [this] {
-    down_pending_ = false;
-    if (!rt_.net.node_paused(self_)) send_ust_down();
-  });
+  // One UstDown per global round, once every active DC has reported in it:
+  // a send on an earlier report of the round would carry a UST that the
+  // round's later reports may still advance.
+  if (round <= down_round_) return;
+  down_round_ = round;
+  send_ust_down();
 }
 
 void ParisServer::send_ust_down() {
-  if (child_nodes_.empty() || !advanced_since_down()) return;
-  if (tree_.is_root(local_idx_)) {
-    rt_.net.charge_cpu(self_, rt_.cost.gossip_us);
-    next_down_us_ = rt_.exec.now_us() + rt_.cfg.delta_u_us;
-  }
+  if (child_nodes_.empty() || (ust_ <= down_ust_ && gc_watermark_ <= down_gc_)) return;
+  if (tree_.is_root(local_idx_)) rt_.net.charge_cpu(self_, rt_.cost.gossip_us);
   down_ust_ = ust_;
   down_gc_ = gc_watermark_;
   auto down = make_msg<UstDown>();

@@ -13,12 +13,12 @@
 //    lines 34-38): a per-DC aggregation tree computes the DC's Global
 //    Stable Time (GST = min over local servers of min(VV)); DC roots
 //    exchange GSTs; each root takes the global minimum as the UST and
-//    disseminates it down the tree. The gossip is pipelined (DESIGN §4):
-//    only leaves run the ΔG timer, every other node forwards as soon as
-//    all its children have reported, a root recomputes the UST whenever a
-//    GST arrives, and an advanced UST goes down at most once per ΔU. The
-//    same gossip aggregates the oldest active snapshot to drive storage GC
-//    (§IV-B).
+//    disseminates it down the tree. Rounds are pipelined and clock-aligned
+//    (DESIGN §4): only leaves run the ΔG timer, on multiples of ΔG of their
+//    own clocks; every other node forwards once all its children reported
+//    in the round, and a root sends an advanced UST down once all active
+//    DCs did. The same gossip aggregates the oldest active snapshot to
+//    drive storage GC (§IV-B).
 
 #include <queue>
 
@@ -66,15 +66,17 @@ class ParisServer : public ServerBase {
   /// send them up the tree (or, at a root, to the other DC roots). Driven by
   /// the ΔG timer at leaves and by the last child's report elsewhere.
   void gst_tick();
-  /// Root only: UST and GC watermark = minima over the active DCs' reports.
-  void recompute_ust();
-  /// Root only: disseminate an advanced UST now, or once ΔU after the last
-  /// dissemination through one pending one-shot task.
-  void schedule_ust_down();
+  /// The round a report arriving now belongs to: the ΔG multiple nearest
+  /// this server's clock (DESIGN §4, "Pairing by round").
+  std::uint64_t local_round() const {
+    return (clock_us() + rt_.cfg.delta_g_us / 2) / rt_.cfg.delta_g_us;
+  }
+  /// Root only: DC `d` completed a round. UST and GC watermark = minima over
+  /// the active DCs' reports, sent down once all of them reported.
+  void note_dc_round(DcId d);
   /// Sends the current UST and GC watermark to the children if either
   /// advanced past what they were last sent.
   void send_ust_down();
-  bool advanced_since_down() const { return ust_ > down_ust_ || gc_watermark_ > down_gc_; }
   void set_ust(Timestamp t);
 
   Timestamp ust_;
@@ -88,20 +90,20 @@ class ParisServer : public ServerBase {
   std::unordered_map<NodeId, std::size_t> child_slot_;
   std::vector<Timestamp> child_min_;     ///< last GossipUp.min_vv per child
   std::vector<Timestamp> child_oldest_;  ///< last GossipUp.oldest_active per child
-  std::vector<bool> child_reported_;     ///< child reported since this node's last round
+  std::vector<std::uint64_t> child_round_;  ///< local_round() of each child's last report
+  std::uint64_t up_round_ = 0;              ///< last round forwarded up (or to the roots)
   bool tree_resolved_ = false;
 
   // Last UST / GC watermark sent down to the children.
   Timestamp down_ust_;
   Timestamp down_gc_;
-  // Root-only ΔU throttle: earliest time of the next UstDown, and whether a
-  // one-shot task is already armed for it.
-  std::uint64_t next_down_us_ = 0;
-  bool down_pending_ = false;
 
-  // Root-only state: last GST / oldest-active reported per DC.
+  // Root-only state: last GST / oldest-active reported per DC, the
+  // local_round() of each DC's last report, and the last round sent down.
   std::vector<Timestamp> gsv_;
   std::vector<Timestamp> oldest_by_dc_;
+  std::vector<std::uint64_t> dc_round_;
+  std::uint64_t down_round_ = 0;
   std::vector<NodeId> dc_roots_;
 
   // Apply->visible tracking for sampled transactions (Fig. 4): a tx's

@@ -59,6 +59,7 @@ class ServerBase : public runtime::Actor {
   Timestamp vv_entry(ReplicaIdx r) const { return vv_[r]; }
   const store::MvStore& kvstore() const { return store_; }
   Timestamp hlc_value() const { return hlc_.value(); }
+  std::uint64_t clock_us() const { return clock_.read_us(rt_.exec.now_us()); }
   /// The snapshot a transaction starting here (with no prior context) would
   /// observe: the UST for PaRiS, the locally installed snapshot for BPR.
   virtual Timestamp stable_snapshot() const = 0;
@@ -181,7 +182,6 @@ class ServerBase : public runtime::Actor {
   void apply_tick();
   void gc_tick();
 
-  std::uint64_t clock_us() const { return clock_.read_us(rt_.exec.now_us()); }
   void send(NodeId to, wire::MessagePtr m) { rt_.net.send(self_, to, std::move(m)); }
   /// Acquires a pooled outgoing message (returned to the pool on release).
   template <class T>

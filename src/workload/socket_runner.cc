@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -40,7 +41,8 @@ namespace {
 ///       default itself); the port-base, pump-engine and unbatched-I/O keys
 ///       are gone.
 ///   v4: the six workload-aware placement keys are gone.
-constexpr std::uint64_t kConfigCodecVersion = 4;
+///   v5: the ΔU throttle key is gone (roots send the UST once per round).
+constexpr std::uint64_t kConfigCodecVersion = 5;
 
 void put(std::ostringstream& o, const char* k, std::uint64_t v) {
   o << k << ' ' << v << '\n';
@@ -92,7 +94,6 @@ std::string encode_experiment_config(const ExperimentConfig& c) {
   put(o, "visibility_sample_shift", static_cast<std::uint64_t>(c.visibility_sample_shift));
   put(o, "delta_r_us", static_cast<std::uint64_t>(c.protocol.delta_r_us));
   put(o, "delta_g_us", static_cast<std::uint64_t>(c.protocol.delta_g_us));
-  put(o, "delta_u_us", static_cast<std::uint64_t>(c.protocol.delta_u_us));
   put(o, "gc_interval_us", static_cast<std::uint64_t>(c.protocol.gc_interval_us));
   put(o, "tree_fanout", static_cast<std::uint64_t>(c.protocol.tree_fanout));
   put(o, "ntp_error_us", static_cast<std::uint64_t>(c.protocol.ntp_error_us));
@@ -304,8 +305,6 @@ bool decode_experiment_config(const std::string& text, ExperimentConfig& c,
       c.protocol.delta_r_us = u;
     } else if (key == "delta_g_us") {
       c.protocol.delta_g_us = u;
-    } else if (key == "delta_u_us") {
-      c.protocol.delta_u_us = u;
     } else if (key == "gc_interval_us") {
       c.protocol.gc_interval_us = u;
     } else if (key == "tree_fanout") {
@@ -662,11 +661,13 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
   PARIS_CHECK_MSG(nprocs >= 1 && nprocs <= cfg.num_dcs,
                   "sockets: --processes must be in [1, dcs] (ownership is dc %% processes)");
 
+  // A dir of our own is removed after a clean run; a --socket-dir is kept.
   std::string dir = cfg.socket.dir;
-  if (dir.empty()) {
-    char tmpl[] = "/tmp/paris-sockets-XXXXXX";
-    PARIS_CHECK_MSG(mkdtemp(tmpl) != nullptr, "mkdtemp failed");
-    dir = tmpl;
+  const bool own_dir = dir.empty();
+  if (own_dir) {
+    const char* tmp = std::getenv("TMPDIR");
+    dir = std::string(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") + "/paris-sockets-XXXXXX";
+    PARIS_CHECK_MSG(mkdtemp(dir.data()) != nullptr, "mkdtemp failed");
   } else {
     // mkdir -p: the CI jobs nest per-scenario dirs (socklogs/paris).
     for (std::size_t slash = dir.find('/', 1); slash != std::string::npos;
@@ -747,7 +748,7 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
     ok = pg.wait_all(deadline_ms, err);
   }
   if (!ok) {
-    std::fprintf(stderr, "socket launcher: %s\n", err.c_str());
+    std::fprintf(stderr, "socket launcher: %s, artifacts kept in %s\n", err.c_str(), dir.c_str());
     for (const auto& c : pg.children()) dump_log_tail(c.log_path);
     res.violations.push_back("socket run failed: " + err);
     return res;
@@ -873,6 +874,11 @@ ExperimentResult run_socket_parent(const ExperimentConfig& cfg) {
       }
     }
   }
+  std::error_code ec;  // removal is best effort: a leftover dir fails no run
+  if (!res.violations.empty())
+    std::fprintf(stderr, "socket launcher: violations, artifacts kept in %s\n", dir.c_str());
+  else if (own_dir)
+    std::filesystem::remove_all(dir, ec);
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   return res;

@@ -75,8 +75,8 @@ TEST(Bpr, FresherThanParisRightAfterCommit) {
   // The paper's trade-off: BPR sees recent writes sooner (blocking buys
   // freshness), PaRiS returns in the past until the UST catches up.
   // With 40ms one-way delays, replication lands ~42ms after commit while
-  // the UST needs at least replication + root exchange + ΔU (~90ms+); a
-  // probe at 55ms therefore splits the two systems.
+  // the UST needs at least replication + a leaf round + root exchange +
+  // UstDown (~90ms+); a probe at 55ms therefore splits the two systems.
   const Key probe_rank = 31;
   auto freshness = [&](System sys) {
     Deployment dep(small_config(sys, 3, 6, 2, /*seed=*/7, /*inter_dc=*/40'000));

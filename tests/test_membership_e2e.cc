@@ -8,16 +8,23 @@
 // a read slice, so "join happened on paper only" cannot pass silently.
 //
 // Also covered here: the cross-host addressing surface (--hosts) driving a
-// 2-process cluster across two DISTINCT loopback IPs, the versioned
-// launcher/child config codec (cfgver header, clear mixed-version errors),
-// and the positional child-result codec (roundtrip, truncation, magic).
+// 2-process cluster across two DISTINCT loopback IPs, the launcher's
+// artifact-dir lifetime, the versioned launcher/child config codec (cfgver
+// header, clear mixed-version errors), and the positional child-result codec
+// (roundtrip, truncation, magic).
 //
 // This binary defines its own main(): the socket tests re-exec it as socket
 // children, which maybe_run_socket_child() intercepts before gtest runs.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -159,6 +166,96 @@ TEST(MembershipE2E, HostListSpansTwoLoopbackIPs) {
                                        &cfg.socket.hosts, &err))
       << err;
   expect_clean(run_experiment(cfg));
+}
+
+// ---------------------------------------------------------------------------
+// Artifact dirs: a dir the launcher made itself (under $TMPDIR) is removed
+// after a clean run and kept, with the child logs, after a failed one; a
+// --socket-dir belongs to the caller and is always kept.
+// ---------------------------------------------------------------------------
+
+ExperimentConfig one_process_config() {
+  ExperimentConfig cfg;
+  cfg.system = proto::System::kParis;
+  cfg.runtime = runtime::Kind::kSockets;
+  cfg.num_dcs = 1;
+  cfg.num_partitions = 2;
+  cfg.replication = 1;
+  cfg.threads_per_process = 1;
+  cfg.workload = WorkloadSpec::read_heavy();
+  cfg.workload.keys_per_partition = 100;
+  cfg.warmup_us = 50'000;
+  cfg.measure_us = 150'000;
+  cfg.seed = 109;
+  cfg.aws_latency = false;
+  cfg.check_consistency = true;
+  cfg.socket.processes = 1;
+  cfg.socket.hosts = runtime::loopback_host_list(1, 7991);
+  return cfg;
+}
+
+/// Points $TMPDIR at a fresh dir for the test's lifetime.
+class ScopedTmpdir {
+ public:
+  ScopedTmpdir() {
+    std::string tmpl = "/tmp/paris-artifact-test-XXXXXX";
+    if (mkdtemp(tmpl.data()) != nullptr) path_ = tmpl;
+    if (const char* old = std::getenv("TMPDIR")) old_ = old;
+    setenv("TMPDIR", path_.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (old_.empty()) unsetenv("TMPDIR");
+    else setenv("TMPDIR", old_.c_str(), 1);
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+  std::vector<std::filesystem::path> entries() const {
+    std::vector<std::filesystem::path> out;
+    for (const auto& e : std::filesystem::directory_iterator(path_)) out.push_back(e.path());
+    return out;
+  }
+
+ private:
+  std::string path_;
+  std::string old_;
+};
+
+TEST(SocketArtifacts, OwnDirIsRemovedAfterACleanRunAndKeptAfterAFailedOne) {
+  ScopedTmpdir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  const ExperimentConfig cfg = one_process_config();
+  const ExperimentResult clean = run_experiment(cfg);
+  EXPECT_TRUE(clean.violations.empty());
+  EXPECT_GT(clean.committed, 0u);
+  EXPECT_TRUE(tmp.entries().empty()) << "a clean run left its artifact dir behind";
+
+  // Hold the rank's listen port: the child cannot bind it and exits nonzero.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(7991);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(fd, 1), 0);
+  const ExperimentResult failed = run_experiment(cfg);
+  ::close(fd);
+  EXPECT_FALSE(failed.violations.empty());
+  const auto kept = tmp.entries();
+  ASSERT_EQ(kept.size(), 1u) << "a failed run must keep its artifact dir";
+  EXPECT_TRUE(std::filesystem::exists(kept[0] / "child-0.log"));
+}
+
+TEST(SocketArtifacts, SocketDirIsKeptAfterACleanRun) {
+  ScopedTmpdir tmp;
+  ASSERT_FALSE(tmp.path().empty());
+  ExperimentConfig cfg = one_process_config();
+  cfg.socket.dir = tmp.path() + "/mine";
+  const ExperimentResult res = run_experiment(cfg);
+  EXPECT_TRUE(res.violations.empty());
+  EXPECT_TRUE(std::filesystem::exists(cfg.socket.dir + "/child-0.log"));
+  EXPECT_TRUE(std::filesystem::exists(cfg.socket.dir + "/experiment.cfg"));
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "cluster/membership.h"
 #include "proto/paris_server.h"
 #include "test_util.h"
 
@@ -35,8 +36,8 @@ TEST(Ust, StaysWithinGossipLagOfNow) {
   Deployment dep(small_config(System::kParis, 3, 12, 2));
   dep.start();
   dep.run_for(1'000'000);
-  // Lag budget: replication one-way (20ms) + tree hops * ΔG + root exchange
-  // one-way + ΔU, with margin.
+  // Lag budget: replication one-way (20ms) + a leaf round + root exchange
+  // one-way + the tree hops up and down, with margin.
   const sim::SimTime max_lag_us = 150'000;
   for (auto* s : paris_servers(dep)) {
     const auto lag = sim_of(dep).now() - s->ust().physical_us();
@@ -200,16 +201,15 @@ TEST(Ust, ReadSliceSnapshotAlwaysLocallyInstalled) {
       << "a PaRiS snapshot reached a replica that had not installed it";
 }
 
-// Pipelined stabilization (DESIGN §4): on a LAN the UST trails real time by
-// a leaf round, the root exchange and the ΔU throttle, not by a ΔG wait at
-// every tree level plus a ΔU wait at the root. 3 DCs x 4 servers, 200 µs
-// between DCs, ΔG = ΔU = 5 ms, 300 samples of every server's lag after
-// settling. Rounds forwarded on arrival: mean 10.7 ms, max 15.3 ms. A ΔG
-// timer at every node plus a ΔU timer at each root: mean 13.7 ms, max
-// 16.3 ms. In both designs the worst case adds up a stale leaf report, a
-// whole round's age of the slowest DC's GST and a ΔU wait, so only the
-// mean separates them; the max bound keeps that worst case under three and
-// a half rounds.
+// Pipelined, clock-aligned stabilization (DESIGN §4): on a LAN the UST
+// trails real time by the ΔR apply lag, the tree hops, the root exchange and
+// on average half a round until the next one, not by a ΔG wait at every
+// tree level plus a ΔU wait at the root. 3 DCs x 4 servers, 200 µs between
+// DCs, ΔG = 5 ms, 300 samples of every server's lag after settling. Aligned
+// rounds, one UstDown per round: mean 4.3 ms, max 6.3 ms (seeds 1-10: mean
+// 4.3-5.1, max 6.3-7.9 ms). Random leaf phases with a 5 ms ΔU throttle:
+// mean 10.7 ms, max 15.3 ms (seeds 1-10: mean 6.3-11.6, max 10.6-15.3 ms),
+// so both bounds fail there.
 TEST(Ust, LagWithinOneLeafRoundOnLan) {
   Deployment dep(small_config(System::kParis, 3, 6, 2, /*seed=*/1, /*inter_dc_us=*/200));
   dep.start();
@@ -229,12 +229,12 @@ TEST(Ust, LagWithinOneLeafRoundOnLan) {
     }
   }
   const auto round = static_cast<std::int64_t>(cfg.delta_g_us);
-  EXPECT_LT(sum_lag / samples, 12'000) << "mean UST lag on a LAN";
-  EXPECT_LT(max_lag, 3 * round + round / 2) << "worst UST lag on a LAN";
+  EXPECT_LT(sum_lag / samples, 6'000) << "mean UST lag on a LAN";
+  EXPECT_LT(max_lag, 2 * round) << "worst UST lag on a LAN";
 }
 
-// Forwarding on arrival adds no messages: per ΔG each DC sends at most
-// (n-1) GossipUp and (D-1) GossipRoot, and per ΔU at most (n-1) UstDown.
+// Forwarding on arrival adds no messages: per ΔG round each DC sends at most
+// (n-1) GossipUp, (D-1) GossipRoot and (n-1) UstDown.
 TEST(Ust, GossipMessagesDoNotGrow) {
   Deployment dep(small_config(System::kParis, 3, 6, 2));
   dep.start();
@@ -246,15 +246,90 @@ TEST(Ust, GossipMessagesDoNotGrow) {
 
   const auto& cfg = dep.config().protocol;
   const std::uint64_t rounds = window_us / cfg.delta_g_us + 1;
-  const std::uint64_t downs = window_us / cfg.delta_u_us + 1;
   const std::uint64_t dcs = dep.topo().num_dcs();
   std::uint64_t bound = 0;
   for (DcId d = 0; d < dcs; ++d) {
     const std::uint64_t n = dep.topo().servers_per_dc(d);
-    bound += ((n - 1) + (dcs - 1)) * rounds + (n - 1) * downs;
+    bound += (2 * (n - 1) + (dcs - 1)) * rounds;
   }
   EXPECT_LE(sent, bound);
   EXPECT_GT(sent, bound / 2) << "the stabilization gossip went quiet on an idle cluster";
+}
+
+// Clock-aligned rounds (DESIGN §4): every leaf ticks where its own physical
+// clock, offset and drift included, reads a multiple of ΔG. A leaf sends
+// exactly one GossipUp per tick, so stepping the simulation event by event
+// finds every tick. The slack is the drift accumulated over the window plus
+// rounding.
+TEST(Ust, LeafRoundsAlignToLocalClock) {
+  Deployment dep(small_config(System::kParis, 3, 6, 2, /*seed=*/3, /*inter_dc_us=*/200));
+  dep.start();
+  const auto& cfg = dep.config().protocol;
+  std::vector<ParisServer*> leaves;
+  for (DcId d = 0; d < dep.topo().num_dcs(); ++d) {
+    const auto& locals = dep.topo().partitions_at(d);
+    const cluster::StabTree tree(static_cast<std::uint32_t>(locals.size()), cfg.tree_fanout);
+    for (std::uint32_t i = 0; i < locals.size(); ++i) {
+      if (tree.children(i).empty()) leaves.push_back(dep.paris_server(d, locals[i]));
+    }
+  }
+  ASSERT_GE(leaves.size(), 6u);
+
+  const sim::SimTime window_us = 100'000;
+  const auto slack_us =
+      static_cast<std::uint64_t>(cfg.drift_ppm * 1e-6 * static_cast<double>(window_us)) + 2;
+  std::vector<std::uint64_t> sent(leaves.size());
+  for (std::size_t i = 0; i < leaves.size(); ++i) sent[i] = leaves[i]->stats().gossip_msgs_sent;
+  std::uint64_t ticks = 0;
+  auto& sim = sim_of(dep);
+  while (sim.now() < window_us && sim.step()) {
+    for (std::size_t i = 0; i < leaves.size(); ++i) {
+      if (leaves[i]->stats().gossip_msgs_sent == sent[i]) continue;
+      sent[i] = leaves[i]->stats().gossip_msgs_sent;
+      ++ticks;
+      const std::uint64_t local = leaves[i]->clock_us();
+      const std::uint64_t r = local % cfg.delta_g_us;
+      EXPECT_LE(std::min(r, cfg.delta_g_us - r), slack_us)
+          << "leaf dc=" << leaves[i]->dc() << " p=" << leaves[i]->partition()
+          << " ticked at local clock " << local;
+    }
+  }
+  EXPECT_GE(ticks, leaves.size() * (window_us / cfg.delta_g_us - 1));
+}
+
+// A drained DC's clients may still be mid-transaction, reading at the
+// active DCs (DESIGN §11, "Leave: drain"): the active DCs' GC watermark must
+// stay at or below such a snapshot. Once it ends, GC moves on, because the
+// drained DC still hears the root exchange and its UST keeps moving.
+TEST(Ust, DrainedDcTransactionHoldsGcWatermark) {
+  auto cfg = small_config(System::kParis, 3, 6, 2, /*seed=*/7, /*inter_dc_us=*/200);
+  const sim::SimTime leave_us = 200'000;
+  cfg.membership.events.push_back({/*join=*/false, /*rank=*/1, leave_us / 1000});
+  Deployment dep(cfg);
+  dep.start();
+  dep.run_for(100'000);
+  auto& c = dep.add_client(1, dep.topo().partitions_at(1)[0]);
+  SyncClient sc(sim_of(dep), c);
+  const Timestamp snap = sc.start();
+  ASSERT_FALSE(snap.is_zero());
+
+  dep.run_for(2 * leave_us);  // past the leave and several GC intervals
+  auto servers = paris_servers(dep);
+  for (auto* s : servers) {
+    if (s->dc() == 1) continue;
+    EXPECT_GT(s->ust().physical_us(), leave_us) << "the active DCs' UST must move on";
+    EXPECT_LE(s->gc_watermark_value(), snap)
+        << "GC passed an open transaction of the drained DC at dc=" << s->dc()
+        << " p=" << s->partition();
+  }
+
+  sc.commit();
+  dep.run_for(leave_us);
+  for (auto* s : servers) {
+    if (s->dc() == 1) continue;
+    EXPECT_GT(s->gc_watermark_value().physical_us(), leave_us + leave_us / 2)
+        << "GC stalled behind the drained DC at dc=" << s->dc() << " p=" << s->partition();
+  }
 }
 
 // A silent leaf must hold back its whole DC's GST, hence the UST everywhere

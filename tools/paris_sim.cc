@@ -60,7 +60,8 @@ namespace {
       "                          peers stop routing to them, their clients\n"
       "                          stop at the boundary). Repeatable\n"
       "  --socket-dir=PATH       sockets: per-child logs + result files\n"
-      "                          (default: a fresh temp dir; path is printed)\n"
+      "                          (default: a fresh dir under $TMPDIR, removed\n"
+      "                          after a clean run; path is printed)\n"
       "  --supervise             sockets: respawn a dead rank (bumped\n"
       "                          incarnation epoch + snapshot state transfer\n"
       "                          from a surviving replica) instead of failing\n"
